@@ -27,7 +27,7 @@ from .regression import (
     AnovaTable, CoefficientEstimate, FitResult, ModelSpec, anova, fit,
     fit_all_interchange, log_transform, predict,
 )
-from .special import BACKEND, f_upper_p, ln_gamma, reg_inc_beta, t_two_sided_p
+from .special import f_upper_p, ln_gamma, reg_inc_beta, t_two_sided_p
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,6 @@ __all__ = [
     "OmdlDocument", "ParseError", "parse", "render",
     "AnovaTable", "CoefficientEstimate", "FitResult", "ModelSpec", "anova",
     "fit", "fit_all_interchange", "log_transform", "predict",
-    "BACKEND", "f_upper_p", "ln_gamma", "reg_inc_beta", "t_two_sided_p",
+    "f_upper_p", "ln_gamma", "reg_inc_beta", "t_two_sided_p",
     "__version__",
 ]

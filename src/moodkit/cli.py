@@ -316,6 +316,11 @@ def cmd_plot(args) -> list[str]:
     ys = [part for part in args.y.split(",") if part]
     if not ys:
         raise _UsageError("--y needs at least one column name")
+    # Column names become file names; keep every file inside --out.
+    for name in [args.x] + ys:
+        if name in (".", "..") or os.path.basename(name) != name:
+            raise _UsageError(
+                f"column name {name!r} cannot be used in a file name")
     series_list = scatter(data, args.x, ys, log10=args.log10)
     os.makedirs(args.out, exist_ok=True)
     written: list[str] = []

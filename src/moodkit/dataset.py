@@ -122,8 +122,17 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
     except StopIteration:
         raise MalformedRowError(1, "input is empty, expected a header line") from None
     columns = tuple(name.strip() for name in header)
-    if any(not c for c in columns):
-        raise MalformedRowError(1, "header contains an empty column name")
+    seen: set[str] = set()
+    for name in columns:
+        if not name:
+            raise MalformedRowError(1, "header contains an empty column name")
+        if name in seen:
+            raise MalformedRowError(1, f"duplicate column name {name!r}")
+        if COLUMN_ALIASES.get(name) in seen:
+            raise MalformedRowError(
+                1, f"columns {COLUMN_ALIASES[name]!r} and {name!r} are aliases "
+                "of one measure")
+        seen.add(name)
     rows: list[tuple[float, ...]] = []
     for fields in reader:
         line = reader.line_num
@@ -203,6 +212,12 @@ def scatter(data: Dataset, x: str, ys: Sequence[str],
     return series
 
 
+def _xml_text(text: str) -> str:
+    """Escape &, < and > for an XML text node, as xml.sax.saxutils.escape
+    does; importing that module pulls in urllib.request and http.client."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_scatter(series: ScatterSeries) -> str:
     """Render one series as a standalone 640x480 SVG with labeled axes.
 
@@ -226,8 +241,9 @@ def svg_scatter(series: ScatterSeries) -> str:
     def sy(v: float) -> float:
         return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
-    x_label = series.x_name + (" (log10)" if series.log10 else "")
-    y_label = series.y_name + (" (log10)" if series.log10 else "")
+    suffix = " (log10)" if series.log10 else ""
+    x_label = _xml_text(series.x_name + suffix)
+    y_label = _xml_text(series.y_name + suffix)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

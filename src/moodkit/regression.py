@@ -1,10 +1,11 @@
 """Ordinary least squares with inference: coefficient table, fit summary,
 ANOVA decomposition, prediction, and the four-way response interchange.
 
-The solver is a Householder QR factorization of the design matrix; the
-normal equations are never formed, and the Gram inverse needed for standard
-errors comes from the triangular factor.  Raw-unit coefficients only; no
-internal scaling.
+The solver is a Householder QR factorization of the design matrix (LAPACK
+dgeqrf through numpy); the normal equations are never formed, and the Gram
+inverse needed for standard errors comes from the triangular factor.
+Raw-unit coefficients only; no internal scaling.  numpy is imported by fit
+alone, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
-
-import numpy as np
 
 from .dataset import COLUMN_ALIASES, Dataset
 from .errors import (
@@ -115,70 +114,6 @@ class FitResult:
         }
 
 
-def _householder_qr(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder triangularization of a copy of the design matrix.
-
-    Returns (A, betas): A holds R on and above the diagonal and the
-    reflector vectors below it; betas are the reflector scales, so Qᵀ can
-    be applied to any vector without materializing Q.
-    """
-    a = design.copy()
-    n, p = a.shape
-    betas = np.zeros(p)
-    for j in range(p):
-        x = a[j:, j]
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            # Zero pivot; leave the column for rank detection downstream.
-            continue
-        alpha = -norm if x[0] >= 0 else norm
-        v = x.copy()
-        v[0] -= alpha
-        # Normalize so the stored reflector has implicit leading 1; then
-        # tau = 2 v0^2 / ||v||^2.  v0 = x0 - alpha has |v0| >= norm > 0.
-        tau = 2.0 * (v[0] * v[0]) / (v @ v)
-        w = v / v[0]
-        rest = a[j:, j:]
-        rest -= tau * np.outer(w, w @ rest)
-        a[j, j] = alpha
-        a[j + 1:, j] = w[1:]
-        betas[j] = tau
-    return a, betas
-
-
-def _apply_qt(a: np.ndarray, betas: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compute Qᵀb from the stored reflectors."""
-    n, p = a.shape
-    y = b.copy()
-    for j in range(p):
-        if betas[j] == 0.0:
-            continue
-        v = np.empty(n - j)
-        v[0] = 1.0
-        v[1:] = a[j + 1:, j]
-        y[j:] -= betas[j] * v * (v @ y[j:])
-    return y
-
-
-def _back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    p = r.shape[0]
-    out = np.zeros(p)
-    for i in range(p - 1, -1, -1):
-        out[i] = (rhs[i] - r[i, i + 1:] @ out[i + 1:]) / r[i, i]
-    return out
-
-
-def _gram_inverse_diag(r: np.ndarray) -> np.ndarray:
-    """diag((XᵀX)⁻¹) = row norms squared of R⁻¹, from the triangular factor."""
-    p = r.shape[0]
-    rinv = np.zeros((p, p))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = 1.0
-        rinv[:, j] = _back_substitute(r, e)
-    return np.sum(rinv * rinv, axis=1)
-
-
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """OLS fit of spec on data with t-based coefficient inference.
 
@@ -186,29 +121,31 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     not constant.  Errors: InsufficientDataError, RankDeficientError
     (naming the dependent column), DegenerateModelError.
     """
-    y = np.array(data.column(spec.response), dtype=float)
-    cols = [np.ones(data.n_rows)]
-    names = ["intercept"]
-    for pred in spec.predictors:
-        cols.append(np.array(data.column(pred), dtype=float))
-        names.append(data.resolve(pred))
-    X = np.column_stack(cols)
-    n, p = X.shape
+    import numpy as np
+
+    response = data.resolve(spec.response)
+    names = ["intercept"] + [data.resolve(pred) for pred in spec.predictors]
+    n, p = data.n_rows, len(names)
     if n <= p:
         raise InsufficientDataError(n, p)
+    # One array [1 | predictors | y]: X and y are views of it, and factoring
+    # it whole gives Qᵀy as R's last column, so Q is never formed.
+    aug = np.empty((n, p + 1), order="F")
+    aug[:, 0] = 1.0
+    for j, name in enumerate(names[1:] + [response], 1):
+        aug[:, j] = data.column(name)
+    X, y = aug[:, :p], aug[:, p]
 
-    a, h_betas = _householder_qr(X)
-    r = np.triu(a[:p, :])
+    r_aug = np.linalg.qr(aug, mode="r")
+    r = r_aug[:p, :p]
+    # |R_00| = sqrt(n) > 0 from the intercept column, so the scale is positive.
     diag = np.abs(np.diag(r))
-    biggest = float(diag.max())
-    if biggest == 0.0:
-        raise RankDeficientError(names[0])
-    bad = np.nonzero(diag < RANK_TOLERANCE * biggest)[0]
+    bad = np.nonzero(diag < RANK_TOLERANCE * diag.max())[0]
     if bad.size:
         raise RankDeficientError(names[int(bad[0])])
 
-    qty = _apply_qt(a, h_betas, y)
-    beta = _back_substitute(r, qty[:p])
+    rinv = np.linalg.inv(r)
+    beta = rinv @ r_aug[:p, p]
 
     fitted = X @ beta
     resid = y - fitted
@@ -242,7 +179,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         f_stat = math.inf
         f_p = 0.0
 
-    gram_diag = _gram_inverse_diag(r)
+    # diag((XᵀX)⁻¹) = row norms squared of R⁻¹.
+    gram_diag = (rinv ** 2).sum(1)
     coeffs = []
     for name, b, g in zip(names, beta, gram_diag):
         se = math.sqrt(ms_residual * g)

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import moodkit
 from moodkit.cli import main
 
 
@@ -160,6 +163,15 @@ def test_fit_non_numeric_csv_is_parse_error(tmp_path, capsys):
     assert "NON_NUMERIC" in err
 
 
+@pytest.mark.parametrize("header", ["a,a,y", "NOL,LOC,y"])
+def test_fit_bad_csv_header_is_parse_error(tmp_path, capsys, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1,2,3\n")
+    code, _, err = run(capsys, "fit", str(path), "--response", "y")
+    assert code == 2
+    assert "MALFORMED_ROW" in err and "line 1" in err
+
+
 def test_predict_golden(capsys):
     code, out, _ = run(capsys, "predict", "builtin:table1",
                        "--response", "NOL",
@@ -289,6 +301,18 @@ def test_plot_bad_column(tmp_path, capsys):
     assert "UNKNOWN_COLUMN" in err
 
 
+def test_plot_output_stays_inside_out_dir(tmp_path, capsys):
+    src = tmp_path / "d.csv"
+    src.write_text("NOL,../../escape\n1,2\n3,5\n")
+    out_dir = tmp_path / "a" / "b" / "out"
+    code, _, err = run(capsys, "plot", str(src), "--x", "NOL",
+                       "--y", "../../escape", "--svg", "--out", str(out_dir))
+    assert code == 2
+    assert "file name" in err
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert written == [src]
+
+
 def test_format_env_default(model_file, capsys, monkeypatch):
     monkeypatch.setenv("MOODKIT_FORMAT", "json")
     code, out, _ = run(capsys, "metrics", model_file)
@@ -321,3 +345,11 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_does_not_load_numpy():
+    src_dir = os.path.dirname(os.path.dirname(moodkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    code = "import moodkit.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)

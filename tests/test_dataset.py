@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from xml.etree import ElementTree
 
 import pytest
 
@@ -69,6 +70,13 @@ def test_read_csv_field_count_mismatch():
     with pytest.raises(MalformedRowError) as exc:
         read_csv(io.StringIO("a,b\n1,2\n3\n"))
     assert exc.value.line == 3
+
+
+def test_read_csv_rejects_duplicate_and_aliased_headers():
+    for header in ("a,a,y", "NOL,NOC,LOC"):
+        with pytest.raises(MalformedRowError) as exc:
+            read_csv(io.StringIO(header + "\n1,2,3\n"))
+        assert exc.value.line == 1
 
 
 def test_read_csv_non_numeric():
@@ -188,3 +196,11 @@ def test_svg_scatter_structure():
     assert svg.count("<circle ") == 33
     assert "NOL (log10)" in svg and "NOC (log10)" in svg
     assert svg_scatter(series) == svg
+
+
+def test_svg_scatter_escapes_labels():
+    data = Dataset(columns=("<b>&", "y"), rows=((1.0, 2.0), (3.0, 5.0)))
+    svg = svg_scatter(scatter(data, "<b>&", ["y"])[0])
+    root = ElementTree.fromstring(svg)
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["<b>&", "y"]

@@ -74,6 +74,14 @@ def test_constant_column_collides_with_intercept():
     assert exc.value.column == "const"
 
 
+def test_all_zero_predictor_is_rank_deficient():
+    rows = [(float(i), 0.0, float(3 * i + 1) + (i % 3)) for i in range(10)]
+    data = make_dataset(["x", "zero", "y"], rows)
+    with pytest.raises(RankDeficientError) as exc:
+        fit(data, ModelSpec(response="y", predictors=("x", "zero")))
+    assert exc.value.column == "zero"
+
+
 def test_degenerate_constant_response():
     data = make_dataset(["x", "y"], [(i, 5.0) for i in range(10)])
     with pytest.raises(DegenerateModelError):
