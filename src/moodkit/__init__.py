@@ -15,9 +15,9 @@ from .dataset import (
 )
 from .errors import (
     DegenerateModelError, DomainError, InsufficientDataError,
-    MalformedRowError, MissingPredictorError, MoodkitError, NonNumericError,
-    NonPositiveValueError, RankDeficientError, UnknownClassError,
-    UnknownColumnError,
+    InvalidModelError, MalformedRowError, MissingPredictorError,
+    MoodkitError, NonNumericError, NonPositiveValueError, RankDeficientError,
+    UnknownClassError, UnknownColumnError,
 )
 from .metrics import (
     MetricValue, MoodReport, ahf, aif, cf, compute_all, mhf, mif, pf,
@@ -38,9 +38,9 @@ __all__ = [
     "COLUMN_ALIASES", "Dataset", "ScatterSeries", "builtin_table1",
     "read_csv", "scatter", "svg_scatter", "write_csv",
     "DegenerateModelError", "DomainError", "InsufficientDataError",
-    "MalformedRowError", "MissingPredictorError", "MoodkitError",
-    "NonNumericError", "NonPositiveValueError", "RankDeficientError",
-    "UnknownClassError", "UnknownColumnError",
+    "InvalidModelError", "MalformedRowError", "MissingPredictorError",
+    "MoodkitError", "NonNumericError", "NonPositiveValueError",
+    "RankDeficientError", "UnknownClassError", "UnknownColumnError",
     "MetricValue", "MoodReport", "ahf", "aif", "cf", "compute_all", "mhf",
     "mif", "pf",
     "OmdlDocument", "ParseError", "parse", "render",

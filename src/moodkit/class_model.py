@@ -6,15 +6,25 @@ feature lists (methods and attributes).  :func:`validate` reports structural
 problems as diagnostics; :func:`tallies` derives the feature counts used by
 the metric formulas; :func:`descendants` counts the proper subtree below a
 class.
+
+Every inheritance query reads one index, built on first use and kept on the
+model.  One iterative build in Kahn topological order gives each class its
+strict ancestors as an int bitmask (bit i is the i-th declared class), its
+strict-descendant count, and the number of distinct (origin, name) methods
+and attributes it inherits.  The cost is near-linear in the size of the
+model, so hierarchies of any depth need no recursion.  Queries that need
+the index raise :class:`~moodkit.errors.InvalidModelError`, carrying the
+model's diagnostics, when a parent name is unresolved or the parent graph
+is cyclic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import UnknownClassError
+from .errors import InvalidModelError, UnknownClassError
 
 
 class Visibility(enum.Enum):
@@ -79,7 +89,9 @@ class ClassModel:
     """Ordered, name-keyed collection of class declarations.
 
     Immutable after construction; all derived queries are read-only, so a
-    model can be shared freely across threads.
+    model can be shared freely across threads.  The inheritance index is
+    built on the first query that needs it; two threads racing to build it
+    build equal indexes, and either may be kept.
     """
 
     def __init__(self, classes: Iterable[ClassDecl]):
@@ -90,6 +102,7 @@ class ClassModel:
                 raise ValueError(f"duplicate class name: {decl.name!r}")
             by_name[decl.name] = decl
         self._by_name = by_name
+        self._index: Optional[_InheritanceIndex] = None
 
     @property
     def classes(self) -> tuple[ClassDecl, ...]:
@@ -224,7 +237,8 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                     f"{m.override_target[0]!r}", decl.name))
                 parent_graph_ok = False
 
-    cycles = _inheritance_cycles(model)
+    index = _index(model)
+    cycles = _inheritance_cycles(model) if index.cyclic else []
     for members in cycles:
         diags.append(Diagnostic(
             CYCLE,
@@ -234,7 +248,7 @@ def validate(model: ClassModel) -> list[Diagnostic]:
         parent_graph_ok = False
 
     if parent_graph_ok:
-        diags.extend(_check_inheritance_semantics(model))
+        diags.extend(_check_inheritance_semantics(model, index))
     return diags
 
 
@@ -299,38 +313,45 @@ def _inheritance_cycles(model: ClassModel) -> list[tuple[str, ...]]:
     return sccs
 
 
-def _check_inheritance_semantics(model: ClassModel) -> list[Diagnostic]:
-    """Shadowing and override-target checks; requires an acyclic, resolved graph."""
+def _check_inheritance_semantics(model: ClassModel,
+                                 index: _InheritanceIndex) -> list[Diagnostic]:
+    """Shadowing and override-target checks; requires an acyclic, resolved graph.
+
+    A class inherits a name exactly when one of its strict ancestors
+    declares it, so each check ANDs the mask of the classes declaring a
+    name with an ancestor mask.
+    """
+    method_declarers = _declarers(model, ClassDecl.method_names)
+    attr_declarers = _declarers(model, ClassDecl.attribute_names)
     diags: list[Diagnostic] = []
-    for decl in model:
-        ancestors = _ancestors(model, decl.name)
-        inherited_methods = {name for _, name in _available_methods_of_parents(model, decl)}
-        inherited_attrs = {name for _, name in _available_attrs_of_parents(model, decl)}
+    for decl, ancestors in zip(model, index.ancestors):
         for m in decl.methods:
-            if m.kind is MethodKind.NEW and m.name in inherited_methods:
+            declarers = method_declarers[m.name]
+            if m.kind is MethodKind.NEW and declarers & ancestors:
                 diags.append(Diagnostic(
                     SHADOWING,
                     f"{decl.name!r}.{m.name} shadows an inherited method; "
                     "declare it with 'overrides' or rename it", decl.name))
             elif m.kind is MethodKind.OVERRIDE:
                 target_cls, target_meth = m.override_target
+                target = index.position[target_cls]
                 if target_meth != m.name:
                     diags.append(Diagnostic(
                         BAD_OVERRIDE,
                         f"{decl.name!r}.{m.name} cannot override differently "
                         f"named method {target_cls}.{target_meth}", decl.name))
-                elif target_cls not in ancestors:
+                elif not ancestors >> target & 1:
                     diags.append(Diagnostic(
                         BAD_OVERRIDE,
                         f"{decl.name!r}.{m.name}: {target_cls!r} is not an "
                         "ancestor", decl.name))
-                elif target_meth not in _defined_or_inherited_method_names(model, target_cls):
+                elif not declarers & (index.ancestors[target] | 1 << target):
                     diags.append(Diagnostic(
                         BAD_OVERRIDE,
                         f"{decl.name!r}.{m.name}: no method {target_meth!r} in "
                         f"ancestor {target_cls!r}", decl.name))
         for a in decl.attributes:
-            if a.name in inherited_attrs:
+            if attr_declarers[a.name] & ancestors:
                 diags.append(Diagnostic(
                     SHADOWING,
                     f"{decl.name!r}.{a.name} shadows an inherited attribute",
@@ -338,68 +359,160 @@ def _check_inheritance_semantics(model: ClassModel) -> list[Diagnostic]:
     return diags
 
 
-def _ancestors(model: ClassModel, name: str) -> set[str]:
-    """Transitive parent closure, excluding the class itself."""
-    out: set[str] = set()
-    frontier = list(model.get(name).parents)
-    while frontier:
-        cur = frontier.pop()
-        if cur in out or cur not in model:
-            continue
-        out.add(cur)
-        frontier.extend(model.get(cur).parents)
+def _declarers(model: ClassModel,
+               names_of: Callable[[ClassDecl], set[str]]) -> dict[str, int]:
+    """Per feature name, the bitmask of the classes that declare it."""
+    out: dict[str, int] = {}
+    for i, decl in enumerate(model):
+        bit = 1 << i
+        for name in names_of(decl):
+            out[name] = out.get(name, 0) | bit
     return out
 
 
-def _available_features(model: ClassModel, name: str,
-                        cache: dict[str, tuple[frozenset, frozenset]],
-                        ) -> tuple[frozenset, frozenset]:
-    """(methods, attributes) available in a class.
+class _InheritanceIndex:
+    """Inheritance facts of one model, per class in declaration position.
 
-    Each feature is identified by its (origin class, name) pair: locally
-    declared features originate here (an override re-originates the method),
-    inherited ones keep the origin of the declaring ancestor.  Union over
-    multiple parents collapses features with the same identity, so a diamond
-    contributes a feature once; an inherited feature is dropped when its name
-    is declared locally.
+    ``cyclic`` and ``unresolved`` describe the parent graph.  When either
+    holds, the per-class lists are empty: ancestors are not defined.
     """
-    if name in cache:
-        return cache[name]
-    decl = model.get(name)
-    local_m = frozenset((name, m.name) for m in decl.methods)
-    local_a = frozenset((name, a.name) for a in decl.attributes)
-    local_m_names = decl.method_names()
-    local_a_names = decl.attribute_names()
-    inh_m: set[tuple[str, str]] = set()
-    inh_a: set[tuple[str, str]] = set()
-    for parent in decl.parents:
-        pm, pa = _available_features(model, parent, cache)
-        inh_m.update(f for f in pm if f[1] not in local_m_names)
-        inh_a.update(f for f in pa if f[1] not in local_a_names)
-    result = (local_m | inh_m, local_a | inh_a)
-    cache[name] = result
-    return result
+
+    __slots__ = ("position", "cyclic", "unresolved", "ancestors",
+                 "descendants", "inherited_methods", "inherited_attrs")
+
+    def __init__(self, position: dict[str, int], cyclic: bool,
+                 unresolved: bool):
+        self.position = position
+        self.cyclic = cyclic
+        self.unresolved = unresolved
+        self.ancestors: list[int] = []
+        self.descendants: list[int] = []
+        self.inherited_methods: list[int] = []
+        self.inherited_attrs: list[int] = []
 
 
-def _available_methods_of_parents(model: ClassModel, decl: ClassDecl) -> set[tuple[str, str]]:
-    cache: dict[str, tuple[frozenset, frozenset]] = {}
-    out: set[tuple[str, str]] = set()
-    for parent in decl.parents:
-        out.update(_available_features(model, parent, cache)[0])
-    return out
+def _index(model: ClassModel) -> _InheritanceIndex:
+    """The model's inheritance index, built on first use."""
+    index = model._index
+    if index is None:
+        index = model._index = _build_index(model)
+    return index
 
 
-def _available_attrs_of_parents(model: ClassModel, decl: ClassDecl) -> set[tuple[str, str]]:
-    cache: dict[str, tuple[frozenset, frozenset]] = {}
-    out: set[tuple[str, str]] = set()
-    for parent in decl.parents:
-        out.update(_available_features(model, parent, cache)[1])
-    return out
+def _valid_index(model: ClassModel) -> _InheritanceIndex:
+    """The index of a model whose parent graph is resolved and acyclic."""
+    index = _index(model)
+    if index.cyclic or index.unresolved:
+        raise InvalidModelError(validate(model))
+    return index
 
 
-def _defined_or_inherited_method_names(model: ClassModel, name: str) -> set[str]:
-    cache: dict[str, tuple[frozenset, frozenset]] = {}
-    return {n for _, n in _available_features(model, name, cache)[0]}
+def _build_index(model: ClassModel) -> _InheritanceIndex:
+    decls = model.classes
+    position = {decl.name: i for i, decl in enumerate(decls)}
+    parents: list[list[int]] = []
+    children: list[list[int]] = [[] for _ in decls]
+    unresolved = False
+    for i, decl in enumerate(decls):
+        resolved = []
+        for name in dict.fromkeys(decl.parents):
+            j = position.get(name)
+            if j is None:
+                unresolved = True
+            else:
+                resolved.append(j)
+                children[j].append(i)
+        parents.append(resolved)
+
+    # Kahn: a class joins the order once all its parents have.  Classes on
+    # or below a cycle (a self-parent included) never join.
+    waiting = [len(ps) for ps in parents]
+    order = [i for i, w in enumerate(waiting) if not w]
+    for i in order:
+        for k in children[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                order.append(k)
+    index = _InheritanceIndex(position, len(order) < len(decls), unresolved)
+    if index.cyclic or unresolved:
+        return index
+
+    ancestors = [0] * len(decls)
+    for i in order:
+        mask = 0
+        for j in parents[i]:
+            mask |= ancestors[j] | 1 << j
+        ancestors[i] = mask
+    below = [0] * len(decls)
+    for i in reversed(order):
+        mask = 0
+        for k in children[i]:
+            mask |= below[k] | 1 << k
+        below[i] = mask
+    index.ancestors = ancestors
+    index.descendants = [mask.bit_count() for mask in below]
+    index.inherited_methods = _inherited_counts(
+        decls, order, parents, children, ClassDecl.method_names)
+    index.inherited_attrs = _inherited_counts(
+        decls, order, parents, children, ClassDecl.attribute_names)
+    return index
+
+
+def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],
+                      parents: list[list[int]], children: list[list[int]],
+                      names_of: Callable[[ClassDecl], set[str]]) -> list[int]:
+    """Per class, the number of distinct (origin, name) features it inherits.
+
+    A feature is identified by the class that declares it and its name: a
+    local declaration originates here (an override re-originates the
+    method), an inherited feature keeps the origin of the declaring
+    ancestor.  Union over several parents collapses features of the same
+    identity, so a diamond contributes a feature once; an inherited feature
+    is dropped when its name is declared locally.
+
+    The walk carries each class's available features as a map from name to
+    the frozenset of origin positions.  A map lives only until the last
+    child has read it, and that child takes it over instead of copying it,
+    so a chain carries a single map.
+    """
+    unread = [len(ch) for ch in children]
+    held: dict[int, tuple[dict[str, frozenset[int]], int]] = {}
+    inherited = [0] * len(decls)
+    for i in order:
+        local = names_of(decls[i])
+        ps = parents[i]
+        available: dict[str, frozenset[int]] = {}
+        count = 0
+        if ps:
+            base = max(ps, key=lambda j: (unread[j] == 1, held[j][1]))
+            available, count = held[base]
+            if unread[base] > 1:
+                available = dict(available)
+            for j in ps:
+                if j == base:
+                    continue
+                for name, origins in held[j][0].items():
+                    have = available.get(name)
+                    if have is None:
+                        available[name] = origins
+                        count += len(origins)
+                    elif have is not origins:
+                        merged = have | origins
+                        available[name] = merged
+                        count += len(merged) - len(have)
+            for name in local:
+                count -= len(available.pop(name, ()))
+        for j in ps:
+            unread[j] -= 1
+            if not unread[j]:
+                del held[j]
+        inherited[i] = count
+        if unread[i]:
+            own = frozenset((i,))
+            for name in local:
+                available[name] = own
+            held[i] = (available, count + len(local))
+    return inherited
 
 
 def tallies(model: ClassModel, name: str) -> ClassTallies:
@@ -408,38 +521,36 @@ def tallies(model: ClassModel, name: str) -> ClassTallies:
     Inherited counts cover every feature reachable through the transitive
     parent closure that is not declared locally; overriding a method counts
     it as locally defined, not inherited.  Raises UnknownClassError for an
-    absent name.
+    absent name and InvalidModelError for an unresolved or cyclic parent
+    graph.
     """
     decl = model.get(name)
+    index = _valid_index(model)
+    i = index.position[name]
     m_v = sum(1 for m in decl.methods if m.visibility is Visibility.VISIBLE)
     m_h = len(decl.methods) - m_v
     m_n = sum(1 for m in decl.methods if m.kind is MethodKind.NEW)
     m_o = len(decl.methods) - m_n
     a_v = sum(1 for a in decl.attributes if a.visibility is Visibility.VISIBLE)
     a_h = len(decl.attributes) - a_v
-
-    cache: dict[str, tuple[frozenset, frozenset]] = {}
-    local_m_names = decl.method_names()
-    local_a_names = decl.attribute_names()
-    inh_m: set[tuple[str, str]] = set()
-    inh_a: set[tuple[str, str]] = set()
-    for parent in decl.parents:
-        pm, pa = _available_features(model, parent, cache)
-        inh_m.update(f for f in pm if f[1] not in local_m_names)
-        inh_a.update(f for f in pa if f[1] not in local_a_names)
-
     m_d = len(decl.methods)
     a_d = len(decl.attributes)
+    m_i = index.inherited_methods[i]
+    a_i = index.inherited_attrs[i]
     return ClassTallies(
-        m_v=m_v, m_h=m_h, m_d=m_d, m_i=len(inh_m), m_a=m_d + len(inh_m),
+        m_v=m_v, m_h=m_h, m_d=m_d, m_i=m_i, m_a=m_d + m_i,
         m_n=m_n, m_o=m_o,
-        a_v=a_v, a_h=a_h, a_d=a_d, a_i=len(inh_a), a_a=a_d + len(inh_a),
-        dc=descendants(model, name),
+        a_v=a_v, a_h=a_h, a_d=a_d, a_i=a_i, a_a=a_d + a_i,
+        dc=index.descendants[i],
     )
 
 
 def descendants(model: ClassModel, name: str) -> int:
-    """Number of classes whose transitive parent closure includes ``name``."""
+    """Number of classes whose transitive parent closure includes ``name``.
+
+    Raises UnknownClassError for an absent name and InvalidModelError for
+    an unresolved or cyclic parent graph.
+    """
     model.get(name)
-    return sum(1 for other in model
-               if other.name != name and name in _ancestors(model, other.name))
+    index = _valid_index(model)
+    return index.descendants[index.position[name]]

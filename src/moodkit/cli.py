@@ -99,8 +99,16 @@ def _load_source(token: str) -> Dataset:
                 f"unknown builtin dataset {token!r}; available: "
                 + ", ".join(sorted(BUILTIN_SOURCES)))
         return loader()
-    with open(token, "r", encoding="utf-8", newline="") as fh:
-        return read_csv(fh, provenance=token)
+    import io
+    with open(token, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRowError(
+            raw.count(b"\n", 0, exc.start) + 1,
+            f"byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
+    return read_csv(io.StringIO(text, newline=""), provenance=token)
 
 
 def _emit(text: str, output: Optional[str]):
@@ -162,8 +170,10 @@ def _metrics_csv(report: metrics_mod.MoodReport) -> str:
 
 
 def cmd_metrics(args) -> str:
-    with open(args.model_path, "r", encoding="utf-8") as fh:
-        source = fh.read()
+    # Bytes, so that omdl.parse reports bad UTF-8 at its line:col; line
+    # endings are translated as text mode would.
+    with open(args.model_path, "rb") as fh:
+        source = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     doc = omdl.parse(source)
     diags = class_model.validate(doc.model)
     if diags:

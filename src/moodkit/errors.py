@@ -19,6 +19,23 @@ class UnknownClassError(MoodkitError):
         super().__init__(f"unknown class: {name!r}")
 
 
+class InvalidModelError(MoodkitError):
+    """A class model whose parent graph has an unresolved name or a cycle.
+
+    Metrics, tallies and descendant counts are undefined on such a model.
+    ``diagnostics`` holds what ``moodkit.validate`` reports for it.
+    """
+
+    code = "INVALID_MODEL"
+
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        first = self.diagnostics[0]
+        super().__init__(
+            f"class model is invalid ({len(self.diagnostics)} validation "
+            f"diagnostic(s)); first: {first.code}: {first.message}")
+
+
 class DomainError(MoodkitError):
     """Argument outside a numeric function's domain."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .class_model import ClassModel, ClassTallies, _ancestors, tallies
+from .class_model import ClassModel, _valid_index, tallies
 
 
 @dataclass(frozen=True)
@@ -80,66 +80,72 @@ class MoodReport:
         }
 
 
-def _all_tallies(model: ClassModel) -> list[ClassTallies]:
-    return [tallies(model, decl.name) for decl in model]
-
-
 def _ratio(num: int, den: int, reason: str) -> MetricValue:
     if den == 0:
         return MetricValue(num, 0, reason)
     return MetricValue(num, den)
 
 
+def _tally_ratios(model: ClassModel) -> dict[str, MetricValue]:
+    """The five tally-based ratios, from one pass over the per-class tallies."""
+    ts = [tallies(model, decl.name) for decl in model]
+    return {
+        "mhf": _ratio(sum(t.m_h for t in ts), sum(t.m_d for t in ts),
+                      "no defined methods"),
+        "ahf": _ratio(sum(t.a_h for t in ts), sum(t.a_d for t in ts),
+                      "no defined attributes"),
+        "mif": _ratio(sum(t.m_i for t in ts), sum(t.m_a for t in ts),
+                      "no available methods"),
+        "aif": _ratio(sum(t.a_i for t in ts), sum(t.a_a for t in ts),
+                      "no available attributes"),
+        "pf": _ratio(sum(t.m_o for t in ts), sum(t.m_n * t.dc for t in ts),
+                     "no polymorphic opportunities"),
+    }
+
+
 def mhf(model: ClassModel) -> MetricValue:
-    ts = _all_tallies(model)
-    return _ratio(sum(t.m_h for t in ts), sum(t.m_d for t in ts),
-                  "no defined methods")
+    return _tally_ratios(model)["mhf"]
 
 
 def ahf(model: ClassModel) -> MetricValue:
-    ts = _all_tallies(model)
-    return _ratio(sum(t.a_h for t in ts), sum(t.a_d for t in ts),
-                  "no defined attributes")
+    return _tally_ratios(model)["ahf"]
 
 
 def mif(model: ClassModel) -> MetricValue:
-    ts = _all_tallies(model)
-    return _ratio(sum(t.m_i for t in ts), sum(t.m_a for t in ts),
-                  "no available methods")
+    return _tally_ratios(model)["mif"]
 
 
 def aif(model: ClassModel) -> MetricValue:
-    ts = _all_tallies(model)
-    return _ratio(sum(t.a_i for t in ts), sum(t.a_a for t in ts),
-                  "no available attributes")
+    return _tally_ratios(model)["aif"]
 
 
 def pf(model: ClassModel) -> MetricValue:
-    ts = _all_tallies(model)
-    return _ratio(sum(t.m_o for t in ts),
-                  sum(t.m_n * t.dc for t in ts),
-                  "no polymorphic opportunities")
+    return _tally_ratios(model)["pf"]
 
 
 def cf(model: ClassModel) -> MetricValue:
+    index = _valid_index(model)
     tc = len(model)
     if tc < 2:
         return MetricValue(0, 0, "TC < 2")
     clients = 0
-    for decl in model:
-        ancestors = _ancestors(model, decl.name)
+    for decl, ancestors in zip(model, index.ancestors):
         # Duplicate uses entries count once: is_client is a 0/1 predicate.
         for target in set(decl.uses):
-            if target != decl.name and target in model and target not in ancestors:
+            j = index.position.get(target)
+            if j is not None and target != decl.name and not ancestors >> j & 1:
                 clients += 1
     return MetricValue(clients, tc * tc - tc)
 
 
 def compute_all(model: ClassModel) -> MoodReport:
-    """All six metrics plus the class count, as one immutable report."""
-    return MoodReport(
-        mhf=mhf(model), ahf=ahf(model), mif=mif(model), aif=aif(model),
-        pf=pf(model), cf=cf(model), tc=len(model))
+    """All six metrics plus the class count, as one immutable report.
+
+    Every metric function raises InvalidModelError, carrying the model's
+    diagnostics, when a parent name is unresolved or the parent graph is
+    cyclic.
+    """
+    return MoodReport(**_tally_ratios(model), cf=cf(model), tc=len(model))
 
 
 _BY_NAME: dict[str, Callable[[ClassModel], MetricValue]] = {

@@ -16,8 +16,8 @@ from typing import Mapping, Optional
 
 from .dataset import COLUMN_ALIASES, Dataset
 from .errors import (
-    DegenerateModelError, InsufficientDataError, MissingPredictorError,
-    NonPositiveValueError, RankDeficientError,
+    DegenerateModelError, DomainError, InsufficientDataError,
+    MissingPredictorError, NonPositiveValueError, RankDeficientError,
 )
 from .special import f_upper_p, t_two_sided_p
 
@@ -118,7 +118,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """OLS fit of spec on data with t-based coefficient inference.
 
     Preconditions: more rows than parameters, full-rank design, response
-    not constant.  Errors: InsufficientDataError, RankDeficientError
+    not constant.  Errors: InsufficientDataError, DomainError (naming a
+    column whose values overflow the factorization), RankDeficientError
     (naming the dependent column), DegenerateModelError.
     """
     import numpy as np
@@ -138,8 +139,16 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
 
     r_aug = np.linalg.qr(aug, mode="r")
     r = r_aug[:p, :p]
+    # Values near the largest double overflow inside the factorization; say
+    # so before the rank test misreads the inf/NaN as a dependent column.
+    # The max propagates NaN, and the last entry is y's residual norm.
+    diag = np.abs(np.diag(r_aug))
+    if not math.isfinite(diag.max()):
+        column = (names + [response])[int(np.argmin(np.isfinite(diag)))]
+        raise DomainError(f"values of column {column!r} overflow double "
+                          "precision in the QR factorization; rescale them")
     # |R_00| = sqrt(n) > 0 from the intercept column, so the scale is positive.
-    diag = np.abs(np.diag(r))
+    diag = diag[:p]
     bad = np.nonzero(diag < RANK_TOLERANCE * diag.max())[0]
     if bad.size:
         raise RankDeficientError(names[int(bad[0])])

@@ -260,3 +260,27 @@ def test_tallies_m_a_identity_on_generated_models():
             assert t.m_d == t.m_n + t.m_o
             assert t.m_d == t.m_v + t.m_h
             assert t.a_d == t.a_v + t.a_h
+
+
+def test_queries_share_one_index_build(monkeypatch):
+    from moodkit import class_model, compute_all
+
+    builds = []
+    real_build = class_model._build_index
+
+    def counting_build(model):
+        builds.append(model)
+        return real_build(model)
+
+    def no_validate(model):
+        raise AssertionError("validate called on a valid model")
+
+    model = make_model(random.Random(3), min_classes=4)
+    monkeypatch.setattr(class_model, "_build_index", counting_build)
+    assert validate(model) == []
+    monkeypatch.setattr(class_model, "validate", no_validate)
+    compute_all(model)
+    for decl in model:
+        tallies(model, decl.name)
+        descendants(model, decl.name)
+    assert builds == [model]

@@ -74,6 +74,23 @@ def test_metrics_parse_error(tmp_path, capsys):
     assert "expected identifier" in err
 
 
+def test_metrics_non_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.omdl"
+    path.write_bytes(b"class A {\n  method f\xff;\n}\n")
+    code, _, err = run(capsys, "metrics", str(path))
+    assert code == 2
+    assert "PARSE: 2:11:" in err and "0xff" in err
+
+
+def test_metrics_reads_cr_and_crlf_line_endings(tmp_path, capsys):
+    for newline in (b"\r", b"\r\n"):
+        path = tmp_path / "eol.omdl"
+        path.write_bytes(newline.join(
+            [b"// two classes", b"class A { }", b"class B extends A { }", b""]))
+        code, out, _ = run(capsys, "metrics", str(path))
+        assert code == 0 and "classes: 2" in out
+
+
 def test_metrics_validation_failure(tmp_path, capsys):
     path = tmp_path / "cycle.omdl"
     path.write_text("class A extends B { }\nclass B extends A { }\n")
@@ -170,6 +187,14 @@ def test_fit_bad_csv_header_is_parse_error(tmp_path, capsys, header):
     code, _, err = run(capsys, "fit", str(path), "--response", "y")
     assert code == 2
     assert "MALFORMED_ROW" in err and "line 1" in err
+
+
+def test_dataset_non_utf8_header_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"NOL,N\xffOC\n1,2\n")
+    code, _, err = run(capsys, "dataset", str(path))
+    assert code == 2
+    assert "MALFORMED_ROW" in err and "line 1" in err and "0xff" in err
 
 
 def test_predict_golden(capsys):

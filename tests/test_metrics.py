@@ -1,13 +1,14 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from moodkit import (
-    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind,
-    MetricValue, Visibility, ahf, aif, cf, compute_all, mhf, mif, pf,
-    validate,
+    AttributeDecl, ClassDecl, ClassModel, InvalidModelError, MethodDecl,
+    MethodKind, MetricValue, Visibility, ahf, aif, cf, compute_all,
+    descendants, mhf, mif, pf, tallies, validate,
 )
 
 from tests.modelgen import make_model, rename_model
@@ -227,3 +228,109 @@ def test_isolated_featureless_class_effect():
         if before.cf.defined and before.cf.numerator > 0:
             assert after.cf.value < before.cf.value
             assert after.cf.numerator == before.cf.numerator
+
+
+def test_oracle_agreement_on_25_class_models():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        model = make_model(rng, max_classes=25)
+        report = compute_all(model)
+        expected = metric_oracle(model)
+        for key in ("mhf", "ahf", "mif", "aif", "pf", "cf"):
+            got: MetricValue = getattr(report, key)
+            assert (got.numerator, got.denominator) == expected[key], (
+                f"{key} mismatch on {model!r}")
+
+
+@pytest.mark.parametrize("bottom_overrides", [False, True])
+def test_wide_diamond_with_one_overriding_side(bottom_overrides):
+    # Top -> M0..M49 -> Bottom; only M0 redefines f.  Bottom sees f from
+    # Top (through M1..M49) and from M0 as two features, g once, x once.
+    width = 50
+    middles = [cls("M0", parents=("Top",), methods=(m("f", target=("Top", "f")),))]
+    middles += [cls(f"M{i}", parents=("Top",)) for i in range(1, width)]
+    bottom_methods = (m("f", target=("M0", "f")),) if bottom_overrides else ()
+    model = ClassModel(
+        [cls("Top", methods=(m("f"), m("g")), attributes=(a("x"),))]
+        + middles
+        + [cls("Bottom", parents=tuple(c.name for c in middles),
+               methods=bottom_methods)])
+    assert validate(model) == []
+    bottom_inherited = 1 if bottom_overrides else 3   # g, or f@Top, f@M0, g
+    got = mif(model)
+    assert got.numerator == 1 + 2 * (width - 1) + bottom_inherited
+    assert got.denominator == 2 + 2 * width + len(bottom_methods) + bottom_inherited
+    assert (aif(model).numerator, aif(model).denominator) == (width + 1, width + 2)
+    assert (pf(model).numerator, pf(model).denominator) == (
+        1 + len(bottom_methods), 2 * (width + 1))
+    report = compute_all(model)
+    for key, want in metric_oracle(model).items():
+        got = getattr(report, key)
+        assert (got.numerator, got.denominator) == want, key
+
+
+def _assert_invalid(model, code):
+    diags = validate(model)
+    assert code in [d.code for d in diags]
+    for fn in (compute_all, mhf, ahf, mif, aif, pf, cf):
+        with pytest.raises(InvalidModelError) as exc:
+            fn(model)
+        assert exc.value.code == "INVALID_MODEL"
+        assert exc.value.diagnostics == diags
+    for decl in model:
+        with pytest.raises(InvalidModelError):
+            tallies(model, decl.name)
+        with pytest.raises(InvalidModelError):
+            descendants(model, decl.name)
+
+
+def test_cyclic_model_raises_invalid_model_error():
+    model = ClassModel([
+        cls("A", parents=("B",), methods=(m("f"),)),
+        cls("B", parents=("A",)),
+        cls("C", uses=("A",)),
+    ])
+    _assert_invalid(model, "CYCLE")
+
+
+def test_unresolved_parent_raises_invalid_model_error():
+    model = ClassModel([cls("A", parents=("Ghost",)), cls("B", uses=("A",))])
+    _assert_invalid(model, "UNRESOLVED_NAME")
+
+
+def chain(depth):
+    """C0 <- C1 <- ... with one method and one attribute per class."""
+    return ClassModel(
+        cls(f"C{i}", parents=(f"C{i - 1}",) if i else (),
+            methods=(m(f"m{i}"),), attributes=(a(f"a{i}"),))
+        for i in range(depth))
+
+
+def test_deep_chain_needs_no_recursion():
+    depth = 10_000
+    model = chain(depth)
+    assert validate(model) == []
+    report = compute_all(model)
+    inherited = depth * (depth - 1) // 2
+    assert (report.mif.numerator, report.mif.denominator) == (
+        inherited, depth * (depth + 1) // 2)
+    assert (report.aif.numerator, report.aif.denominator) == (
+        inherited, depth * (depth + 1) // 2)
+    assert report.pf.denominator == inherited
+
+
+def test_chain_cost_grows_linearly():
+    # validate + compute_all per doubling of depth: about 2x when linear,
+    # 8x for the cubic walk this index replaced.  Best of three, fresh
+    # models each time, since a model keeps its index.
+    def best(depth):
+        times = []
+        for _ in range(3):
+            model = chain(depth)
+            start = time.perf_counter()
+            validate(model)
+            compute_all(model)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(4000) / best(2000) < 3

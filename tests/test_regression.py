@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from moodkit import (
-    Dataset, DegenerateModelError, InsufficientDataError,
+    Dataset, DegenerateModelError, DomainError, InsufficientDataError,
     MissingPredictorError, ModelSpec, RankDeficientError, anova,
     builtin_table1, fit, fit_all_interchange, log_transform, predict,
 )
@@ -80,6 +80,19 @@ def test_all_zero_predictor_is_rank_deficient():
     with pytest.raises(RankDeficientError) as exc:
         fit(data, ModelSpec(response="y", predictors=("x", "zero")))
     assert exc.value.column == "zero"
+
+
+def test_overflowing_column_is_named_not_rank_deficient():
+    # Values near the largest double make diag R inf/NaN; the error names
+    # the overflowing column instead of blaming a dependent one.
+    big = [1.0, 1.1, 1.25, 1.4, 1.55, 1.7]
+    small = [1.0, 2.0, 3.5, 4.0, 5.2, 6.1]
+    data = make_dataset(["x", "y"], [(b * 1e308, v) for b, v in zip(big, small)])
+    with pytest.raises(DomainError, match="column 'x'.*overflow"):
+        fit(data, ModelSpec(response="y", predictors=("x",)))
+    data = make_dataset(["x", "y"], [(v, b * 1e308) for b, v in zip(big, small)])
+    with pytest.raises(DomainError, match="column 'y'.*overflow"):
+        fit(data, ModelSpec(response="y", predictors=("x",)))
 
 
 def test_degenerate_constant_response():
