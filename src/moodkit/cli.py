@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 
 from . import class_model, metrics as metrics_mod, omdl, regression
 from .dataset import Dataset, builtin_table1, read_csv, scatter, svg_scatter, write_csv
-from .errors import MalformedRowError, MoodkitError, NonNumericError
+from .errors import (
+    InvalidModelError, MalformedRowError, MoodkitError, NonNumericError,
+)
 from .omdl import ParseError
 from .regression import FitResult, ModelSpec
 
@@ -31,12 +33,6 @@ BUILTIN_SOURCES = {"builtin:table1": builtin_table1}
 
 class _UsageError(Exception):
     """Bad command line or bad source token; maps to exit 2."""
-
-
-class _ValidationFailed(Exception):
-    def __init__(self, diagnostics: list[class_model.Diagnostic]):
-        self.diagnostics = diagnostics
-        super().__init__(f"{len(diagnostics)} validation diagnostic(s)")
 
 
 def _default_format() -> str:
@@ -128,10 +124,6 @@ def _fmt3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _fmt_p(v: float) -> str:
-    return f"{v:.3f}"
-
-
 def _fmt_ss(v: float) -> str:
     if v != v or v in (math.inf, -math.inf):
         return str(v)
@@ -177,7 +169,7 @@ def cmd_metrics(args) -> str:
     doc = omdl.parse(source)
     diags = class_model.validate(doc.model)
     if diags:
-        raise _ValidationFailed(diags)
+        raise InvalidModelError(diags)
     report = metrics_mod.compute_all(doc.model)
     fmt = args.format or _default_format()
     if fmt == "json":
@@ -199,7 +191,7 @@ def _fit_table(fit: FitResult) -> str:
     for c in fit.coefficients:
         lines.append(
             f"  {c.name:<12}{_fmt3(c.beta):>16}{_fmt3(c.std_error):>16}"
-            f"{_fmt3(c.t_stat):>12}{_fmt_p(c.p_value):>8}")
+            f"{_fmt3(c.t_stat):>12}{_fmt3(c.p_value):>8}")
     lines += [
         "",
         "model summary",
@@ -214,7 +206,7 @@ def _fit_table(fit: FitResult) -> str:
     lines.append(
         f"  {'regression':<12}{_fmt_ss(a.ss_regression):>14}"
         f"{a.df_regression:>6}{_fmt_ss(a.ms_regression):>14}"
-        f"{_fmt3(a.f_stat):>12}{_fmt_p(a.p_value):>8}")
+        f"{_fmt3(a.f_stat):>12}{_fmt3(a.p_value):>8}")
     lines.append(
         f"  {'residual':<12}{_fmt_ss(a.ss_residual):>14}"
         f"{a.df_residual:>6}{_fmt_ss(a.ms_residual):>14}")
@@ -377,7 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"moodkit: error: {exc}", file=sys.stderr)
         return 2
-    except _ValidationFailed as exc:
+    except InvalidModelError as exc:
         for d in exc.diagnostics:
             where = f" [{d.class_name}]" if d.class_name else ""
             print(f"moodkit: {d.code}{where}: {d.message}", file=sys.stderr)

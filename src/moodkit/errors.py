@@ -20,10 +20,12 @@ class UnknownClassError(MoodkitError):
 
 
 class InvalidModelError(MoodkitError):
-    """A class model whose parent graph has an unresolved name or a cycle.
+    """A class model with validation diagnostics.
 
-    Metrics, tallies and descendant counts are undefined on such a model.
-    ``diagnostics`` holds what ``moodkit.validate`` reports for it.
+    Metrics, tallies and descendant counts raise it when the parent graph
+    has an unresolved name or a cycle, where they are undefined; the CLI
+    raises it for any diagnostic.  ``diagnostics`` holds what
+    ``moodkit.validate`` reports for the model.
     """
 
     code = "INVALID_MODEL"

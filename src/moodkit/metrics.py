@@ -18,7 +18,7 @@ from no opportunity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .class_model import ClassModel, _valid_index, tallies
 
@@ -147,15 +147,3 @@ def compute_all(model: ClassModel) -> MoodReport:
     """
     return MoodReport(**_tally_ratios(model), cf=cf(model), tc=len(model))
 
-
-_BY_NAME: dict[str, Callable[[ClassModel], MetricValue]] = {
-    "mhf": mhf, "ahf": ahf, "mif": mif, "aif": aif, "pf": pf, "cf": cf,
-}
-
-
-def by_name(name: str) -> Callable[[ClassModel], MetricValue]:
-    """Look up one metric function by its lowercase report key."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown metric {name!r}") from None

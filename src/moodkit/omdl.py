@@ -30,14 +30,16 @@ KEYWORDS = frozenset(
     {"class", "extends", "method", "attribute", "uses", "overrides",
      "visible", "hidden"})
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[{};,.])
-    """,
-    re.VERBOSE,
+# One match per token, with the whitespace and comments before it.  Group 1
+# is the token, or "" at end of input; group 2 is a character that cannot
+# start a token.  The skip never needs backtracking: after it, one of the
+# alternatives always matches.
+_SCAN = re.compile(
+    r"""(?:[ \t\r\n]+|//[^\n]*)*
+        (?: ([A-Za-z_][A-Za-z0-9_]*|[{};,.]|\Z) | (.) )""",
+    re.VERBOSE | re.DOTALL,
 )
+_NOT_IDENT = KEYWORDS | set("{};,.") | {""}
 
 
 class ParseError(MoodkitError):
@@ -65,119 +67,87 @@ class OmdlDocument:
     spans: dict
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str        # "ident", "keyword", "punct", "eof"
-    text: str
-    line: int
-    col: int
-
-    def describe(self) -> str:
-        if self.kind == "eof":
-            return "end of input"
-        return repr(self.text)
-
-
-def _lex(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError((line, col), "a token", repr(source[pos]))
-        text = m.group(0)
-        if m.lastgroup == "ident":
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(_Token(kind, text, line, col))
-        elif m.lastgroup == "punct":
-            tokens.append(_Token("punct", text, line, col))
-        # Whitespace and comments advance position only.
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    """Recursive descent over (text, offset) tokens; "" is end of input."""
+
+    def __init__(self, source: str):
+        self._source = source
+        self._line, self._line_start, self._seen = 1, 0, 0
+        self._tokens: list[tuple[str, int]] = []
+        for m in _SCAN.finditer(source):
+            text = m[1]
+            if text is None:
+                raise ParseError(self.where(m.start(2)), "a token", repr(m[2]))
+            self._tokens.append((text, m.start(1)))
+            if not text:
+                break
         self._i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self._tokens[self._i]
+    def where(self, offset: int) -> tuple[int, int]:
+        """(line, column) of an offset no smaller than the last one asked.
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        if tok.kind != "eof":
-            self._i += 1
-        return tok
+        Only the text between the two is scanned, so the positions of a
+        whole parse cost one pass over the source, even on one long line.
+        """
+        newlines = self._source.count("\n", self._seen, offset)
+        if newlines:
+            self._line += newlines
+            self._line_start = self._source.rfind("\n", self._seen, offset) + 1
+        self._seen = offset
+        return self._line, offset - self._line_start + 1
+
+    @property
+    def text(self) -> str:
+        return self._tokens[self._i][0]
 
     def fail(self, expected: str):
-        tok = self.cur
-        raise ParseError((tok.line, tok.col), expected, tok.describe())
+        text, offset = self._tokens[self._i]
+        raise ParseError(self.where(offset), expected,
+                         repr(text) if text else "end of input")
 
-    def expect_keyword(self, word: str) -> _Token:
-        if self.cur.kind == "keyword" and self.cur.text == word:
-            return self.advance()
-        self.fail(f"'{word}'")
+    def accept(self, word: str) -> bool:
+        """Consume the current token if its text is ``word``."""
+        if self.text == word:
+            self._i += 1
+            return True
+        return False
 
-    def expect_punct(self, ch: str) -> _Token:
-        if self.cur.kind == "punct" and self.cur.text == ch:
-            return self.advance()
-        self.fail(f"'{ch}'")
+    def expect(self, word: str):
+        if not self.accept(word):
+            self.fail(f"'{word}'")
 
-    def expect_ident(self) -> _Token:
-        if self.cur.kind == "ident":
-            return self.advance()
-        self.fail("identifier")
-
-    def at_keyword(self, *words: str) -> bool:
-        return self.cur.kind == "keyword" and self.cur.text in words
+    def ident(self) -> tuple[str, int]:
+        tok = self._tokens[self._i]
+        if tok[0] in _NOT_IDENT:
+            self.fail("identifier")
+        self._i += 1
+        return tok
 
     def ident_list(self) -> list[str]:
-        names = [self.expect_ident().text]
-        while self.cur.kind == "punct" and self.cur.text == ",":
-            self.advance()
-            names.append(self.expect_ident().text)
+        names = [self.ident()[0]]
+        while self.accept(","):
+            names.append(self.ident()[0])
         return names
 
     def document(self) -> OmdlDocument:
         classes: list[ClassDecl] = []
         spans: dict = {}
-        declared: set[str] = set()
-        while self.cur.kind != "eof":
-            if not self.at_keyword("class"):
-                self.fail("'class'")
-            self.advance()
-            name_tok = self.expect_ident()
-            if name_tok.text in declared:
-                raise ParseError(
-                    (name_tok.line, name_tok.col),
-                    "a class name not declared before",
-                    repr(name_tok.text))
-            declared.add(name_tok.text)
-            spans[("class", name_tok.text)] = (name_tok.line, name_tok.col)
-            parents: list[str] = []
-            if self.at_keyword("extends"):
-                self.advance()
-                parents = self.ident_list()
-            self.expect_punct("{")
+        while self.text:
+            self.expect("class")
+            name, offset = self.ident()
+            if ("class", name) in spans:
+                raise ParseError(self.where(offset),
+                                 "a class name not declared before", repr(name))
+            spans[("class", name)] = self.where(offset)
+            parents = self.ident_list() if self.accept("extends") else []
+            self.expect("{")
             methods: list[MethodDecl] = []
             attributes: list[AttributeDecl] = []
             uses: list[str] = []
-            while not (self.cur.kind == "punct" and self.cur.text == "}"):
-                self._member(name_tok.text, methods, attributes, uses, spans)
-            self.expect_punct("}")
+            while not self.accept("}"):
+                self._member(name, methods, attributes, uses, spans)
             classes.append(ClassDecl(
-                name=name_tok.text, parents=tuple(parents),
+                name=name, parents=tuple(parents),
                 methods=tuple(methods), attributes=tuple(attributes),
                 uses=tuple(uses)))
         return OmdlDocument(model=ClassModel(classes), spans=spans)
@@ -185,37 +155,33 @@ class _Parser:
     def _member(self, cls: str, methods: list, attributes: list,
                 uses: list, spans: dict):
         visibility = Visibility.VISIBLE
-        if self.at_keyword("visible", "hidden"):
-            visibility = Visibility(self.advance().text)
-            if not self.at_keyword("method", "attribute"):
+        if self.text in ("visible", "hidden"):
+            visibility = Visibility(self.text)
+            self._i += 1
+            if self.text not in ("method", "attribute"):
                 self.fail("'method' or 'attribute'")
-        if self.at_keyword("method"):
-            self.advance()
-            name_tok = self.expect_ident()
+        if self.accept("method"):
+            name, offset = self.ident()
             kind = MethodKind.NEW
             target: Optional[tuple[str, str]] = None
-            if self.at_keyword("overrides"):
-                self.advance()
-                target_cls = self.expect_ident().text
-                self.expect_punct(".")
-                target_meth = self.expect_ident().text
+            if self.accept("overrides"):
+                target_cls = self.ident()[0]
+                self.expect(".")
+                target = (target_cls, self.ident()[0])
                 kind = MethodKind.OVERRIDE
-                target = (target_cls, target_meth)
-            self.expect_punct(";")
+            self.expect(";")
             methods.append(MethodDecl(
-                name=name_tok.text, visibility=visibility, kind=kind,
+                name=name, visibility=visibility, kind=kind,
                 override_target=target))
-            spans[("method", cls, name_tok.text)] = (name_tok.line, name_tok.col)
-        elif self.at_keyword("attribute"):
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect_punct(";")
-            attributes.append(AttributeDecl(name=name_tok.text, visibility=visibility))
-            spans[("attribute", cls, name_tok.text)] = (name_tok.line, name_tok.col)
-        elif self.at_keyword("uses"):
-            self.advance()
+            spans[("method", cls, name)] = self.where(offset)
+        elif self.accept("attribute"):
+            name, offset = self.ident()
+            self.expect(";")
+            attributes.append(AttributeDecl(name=name, visibility=visibility))
+            spans[("attribute", cls, name)] = self.where(offset)
+        elif self.accept("uses"):
             uses.extend(self.ident_list())
-            self.expect_punct(";")
+            self.expect(";")
         else:
             self.fail("'method', 'attribute', 'uses', or '}'")
 
@@ -235,7 +201,7 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             col = exc.start - prefix.rfind(b"\n")
             raise ParseError((line, col), "valid UTF-8",
                              f"byte 0x{source[exc.start]:02x}") from None
-    return _Parser(_lex(source)).document()
+    return _Parser(source).document()
 
 
 def render(model: ClassModel) -> str:

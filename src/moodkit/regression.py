@@ -21,8 +21,8 @@ from .errors import (
 )
 from .special import f_upper_p, t_two_sided_p
 
-# A diagonal entry of R below this fraction of the largest marks its column
-# as linearly dependent.
+# A diagonal entry of R at or below this fraction of the largest entry in its
+# column marks the column as linearly dependent on the columns before it.
 RANK_TOLERANCE = 1e-10
 
 
@@ -147,9 +147,9 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         column = (names + [response])[int(np.argmin(np.isfinite(diag)))]
         raise DomainError(f"values of column {column!r} overflow double "
                           "precision in the QR factorization; rescale them")
-    # |R_00| = sqrt(n) > 0 from the intercept column, so the scale is positive.
-    diag = diag[:p]
-    bad = np.nonzero(diag < RANK_TOLERANCE * diag.max())[0]
+    # Column j of R has the norm of column j of X, so each column is tested
+    # against its own scale and the test does not depend on units.
+    bad = np.nonzero(diag[:p] <= RANK_TOLERANCE * np.abs(r).max(axis=0))[0]
     if bad.size:
         raise RankDeficientError(names[int(bad[0])])
 
@@ -188,11 +188,13 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         f_stat = math.inf
         f_p = 0.0
 
-    # diag((XᵀX)⁻¹) = row norms squared of R⁻¹.
-    gram_diag = (rinv ** 2).sum(1)
+    # sqrt(diag((XᵀX)⁻¹)) = row norms of R⁻¹, by hypot so that columns of
+    # extreme scale neither underflow nor overflow; initial=0.0 makes a
+    # one-entry row its absolute value.
+    se_factors = np.hypot.reduce(rinv, axis=1, initial=0.0)
     coeffs = []
-    for name, b, g in zip(names, beta, gram_diag):
-        se = math.sqrt(ms_residual * g)
+    for name, b, f in zip(names, beta, se_factors):
+        se = s * f
         if se > 0.0:
             t = b / se
             pv = t_two_sided_p(t, df_residual)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -183,3 +184,68 @@ def test_fuzz_structured_snippets():
             parse(text)
         except ParseError:
             pass
+
+
+def error_of(source):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    return exc.value.position, exc.value.expected, exc.value.found
+
+
+@pytest.mark.parametrize("source, method, attribute", [
+    ("class A { // note { ; }\n  method m; // c\n  attribute x; }",
+     (2, 10), (3, 13)),
+    ("class A {\r\n  method m;\r\n  attribute x; }", (2, 10), (3, 13)),
+    # a lone \r is not a line break; it takes a column
+    ("class A {\r  method m;\r  attribute x; }", (1, 20), (1, 35)),
+    # a tab is one column
+    ("class A {\n\tmethod m;\n\tattribute x; }", (2, 9), (3, 12)),
+], ids=["comment", "crlf", "lone-cr", "tab"])
+def test_positions_after_comment_line_break_and_tab(source, method, attribute):
+    doc = parse(source)
+    assert doc.spans[("method", "A", "m")] == method
+    assert doc.spans[("attribute", "A", "x")] == attribute
+    assert error_of(source.replace("method m", "method ")) == (
+        method, "identifier", "';'")
+
+
+@pytest.mark.parametrize("tail, position", [
+    ("  \n \t", (3, 3)),
+    ("\n// trailing", (3, 12)),
+    (" // trailing\r\n", (3, 1)),
+])
+def test_end_of_input_after_whitespace_or_comment(tail, position):
+    assert error_of("class A {\nmethod m;" + tail) == (
+        position, "'method', 'attribute', 'uses', or '}'", "end of input")
+
+
+def test_bad_character_on_line_three():
+    assert error_of("class A {\n  method m;\n  @ }") == (
+        (3, 3), "a token", "'@'")
+    # Characters are checked before any parsing: the missing class name on
+    # line 1 is not reported.
+    assert error_of("class {\n\n\t!") == ((3, 2), "a token", "'!'")
+
+
+@pytest.mark.parametrize("one_line", [False, True])
+def test_parse_cost_grows_linearly(one_line):
+    # parse per doubling of classes: about 2x when linear.  A position
+    # cursor that rescanned the source from its start for each position
+    # would be quadratic, 3.5x or more here: the padding makes that rescan,
+    # fast in C, outweigh the per-token work.
+    # Best of three pairs, each timed back to back so that both sizes see
+    # the same load on the machine.
+    def source(n):
+        text = "".join(
+            f"class C{i}{f' extends C{i - 1}' if i else ''} {{\n"
+            f"    method m{i};\n    attribute a{i};\n}}{' ' * 200}\n"
+            for i in range(n))
+        return text.replace("\n", " ") if one_line else text
+
+    def timed(text):
+        start = time.perf_counter()
+        parse(text)
+        return time.perf_counter() - start
+
+    small, large = source(2000), source(4000)
+    assert min(timed(large) / timed(small) for _ in range(3)) < 3

@@ -95,6 +95,23 @@ def test_overflowing_column_is_named_not_rank_deficient():
         fit(data, ModelSpec(response="y", predictors=("x",)))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e200, 1e300])
+def test_rank_test_does_not_depend_on_column_scale(scale):
+    # Each column is tested against its own scale, so rescaling x moves its
+    # coefficient and standard error together and leaves t and p as they are.
+    ys = [3.0, 1.0, 4.0, 1.0, 5.0]
+    spec = ModelSpec(response="y", predictors=("x",))
+    ref = fit(make_dataset(["x", "y"], [(k, y) for k, y in enumerate(ys, 1)]), spec)
+    got = fit(make_dataset(["x", "y"],
+                           [(k * scale, y) for k, y in enumerate(ys, 1)]), spec)
+    assert ref.coefficients[1].p_value == pytest.approx(0.559, abs=5e-4)
+    for r, g in zip(ref.coefficients, got.coefficients):
+        assert g.t_stat == pytest.approx(r.t_stat, rel=1e-12)
+        assert g.p_value == pytest.approx(r.p_value, rel=1e-12)
+    assert got.coefficients[1].beta * scale == pytest.approx(
+        ref.coefficients[1].beta, rel=1e-12)
+
+
 def test_degenerate_constant_response():
     data = make_dataset(["x", "y"], [(i, 5.0) for i in range(10)])
     with pytest.raises(DegenerateModelError):
