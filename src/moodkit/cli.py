@@ -13,6 +13,7 @@ environment variable sets the default output format (table, json, csv).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -95,7 +96,6 @@ def _load_source(token: str) -> Dataset:
                 f"unknown builtin dataset {token!r}; available: "
                 + ", ".join(sorted(BUILTIN_SOURCES)))
         return loader()
-    import io
     with open(token, "rb") as fh:
         raw = fh.read()
     try:
@@ -265,8 +265,10 @@ def _parse_value_flags(extras: Sequence[str]) -> dict[str, float]:
         try:
             values[name] = float(text)
         except ValueError:
+            values[name] = math.nan
+        if not math.isfinite(values[name]):
             raise _UsageError(
-                f"value for --{name} must be numeric, got {text!r}") from None
+                f"value for --{name} must be a finite number, got {text!r}")
         i += 1
     return values
 
@@ -297,7 +299,6 @@ def cmd_dataset(args) -> str:
                            "rows": [list(r) for r in data.rows]},
                           indent=2) + "\n"
     if fmt == "csv":
-        import io
         buf = io.StringIO()
         write_csv(data, buf)
         return buf.getvalue()

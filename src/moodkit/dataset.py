@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Sequence, TextIO
 
 from .errors import (
     MalformedRowError, NonNumericError, NonPositiveValueError,
@@ -21,45 +21,64 @@ from .errors import (
 COLUMN_ALIASES = {"LOC": "NOL", "NOL": "LOC"}
 
 
-@dataclass(frozen=True)
+def find_name(name: str, names: Collection[str],
+              missing: Callable[[str], Exception]) -> str:
+    """The first of ``name`` and its alias in ``names``, else missing(name)."""
+    for candidate in (name, COLUMN_ALIASES.get(name)):
+        if candidate in names:
+            return candidate
+    raise missing(name)
+
+
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """Immutable numeric table: named columns, rows of floats, provenance tag."""
+    """Immutable table of finite floats, stored by column, with a row count
+    and a provenance tag.  ``rows`` is rebuilt from the columns on each read."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    provenance: str = "unspecified"
+    _values: tuple[tuple[float, ...], ...]
+    n_rows: int
+    provenance: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows",
-                           tuple(tuple(float(v) for v in row) for row in self.rows))
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError(f"duplicate column names: {self.columns!r}")
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
+    def __init__(self, columns: Iterable[str], rows: Iterable[Iterable[float]],
+                 provenance: str = "unspecified"):
+        columns = tuple(columns)
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"duplicate column names: {columns!r}")
+        width = len(columns)
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
                     f"row {i} has {len(row)} values, expected {width}")
-            for name, v in zip(self.columns, row):
+            for name, v in zip(columns, row):
                 if not math.isfinite(v):
                     raise ValueError(f"non-finite value {v!r} in column {name!r}")
+        # A table without rows still has its (empty) columns.
+        self.__dict__.update(columns=columns, n_rows=len(rows),
+                             _values=tuple(zip(*rows)) or ((),) * width,
+                             provenance=provenance)
+
+    @classmethod
+    def _of_columns(cls, columns: tuple[str, ...],
+                    values: tuple[tuple[float, ...], ...], n_rows: int,
+                    provenance: str) -> Dataset:
+        """Unchecked: ``values`` holds n_rows finite floats per column."""
+        data = cls.__new__(cls)
+        data.__dict__.update(columns=columns, _values=values, n_rows=n_rows,
+                             provenance=provenance)
+        return data
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*self._values)) or ((),) * self.n_rows
 
     def resolve(self, name: str) -> str:
         """Map a requested column name to the stored one, honoring aliases."""
-        if name in self.columns:
-            return name
-        alias = COLUMN_ALIASES.get(name)
-        if alias is not None and alias in self.columns:
-            return alias
-        raise UnknownColumnError(name)
+        return find_name(name, self.columns, UnknownColumnError)
 
     def column(self, name: str) -> tuple[float, ...]:
-        idx = self.columns.index(self.resolve(name))
-        return tuple(row[idx] for row in self.rows)
+        return self._values[self.columns.index(self.resolve(name))]
 
 
 # 33 samples of (NOL, NOC, NOM, NOA): source lines, classes, methods,
@@ -114,14 +133,15 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
     """Parse header + numeric rows into a Dataset.
 
     Line numbers in errors are 1-based over the input lines.  A header-only
-    input yields a valid 0-row dataset.
+    input yields a valid 0-row dataset; a blank header line is an error.
     """
     reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
         raise MalformedRowError(1, "input is empty, expected a header line") from None
-    columns = tuple(name.strip() for name in header)
+    # A blank line reads as [], and is one empty name, like a line of spaces.
+    columns = tuple(name.strip() for name in header or [""])
     seen: set[str] = set()
     for name in columns:
         if not name:
@@ -133,7 +153,7 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
                 1, f"columns {COLUMN_ALIASES[name]!r} and {name!r} are aliases "
                 "of one measure")
         seen.add(name)
-    rows: list[tuple[float, ...]] = []
+    values: list[list[float]] = [[] for _ in columns]
     for fields in reader:
         line = reader.line_num
         if not fields:
@@ -141,17 +161,16 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
         if len(fields) != len(columns):
             raise MalformedRowError(
                 line, f"expected {len(columns)} fields, got {len(fields)}")
-        values = []
-        for name, text in zip(columns, fields):
+        for name, text, column in zip(columns, fields, values):
             try:
                 v = float(text)
             except ValueError:
                 raise NonNumericError(line, name, text) from None
             if not math.isfinite(v):
                 raise NonNumericError(line, name, text)
-            values.append(v)
-        rows.append(tuple(values))
-    return Dataset(columns=columns, rows=tuple(rows), provenance=provenance)
+            column.append(v)
+    return Dataset._of_columns(columns, tuple(map(tuple, values)),
+                               len(values[0]), provenance)
 
 
 def _render_value(v: float) -> str:
@@ -184,6 +203,20 @@ class ScatterSeries:
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
 
 
+def log_columns(data: Dataset, names: Sequence[str],
+                log_fn: Callable[[float], float]) -> tuple[tuple[float, ...], ...]:
+    """log_fn of each named column.  A value <= 0 raises
+    NonPositiveValueError for the first one in row order over ``names``."""
+    try:
+        return tuple(tuple(map(log_fn, data.column(name))) for name in names)
+    except ValueError:
+        # math's logs raise for exactly the values <= 0.
+        for i, row in enumerate(zip(*map(data.column, names))):
+            for name, v in zip(names, row):
+                if v <= 0:
+                    raise NonPositiveValueError(i, name, v) from None
+
+
 def scatter(data: Dataset, x: str, ys: Sequence[str],
             log10: bool = False) -> list[ScatterSeries]:
     """One series per y column; log10 transforms both coordinates.
@@ -193,22 +226,14 @@ def scatter(data: Dataset, x: str, ys: Sequence[str],
     """
     x_col = data.resolve(x)
     y_cols = [data.resolve(y) for y in ys]
-    xs = data.column(x_col)
     series: list[ScatterSeries] = []
-    for requested, resolved in zip(ys, y_cols):
-        y_vals = data.column(resolved)
-        pts = []
-        for i, (xv, yv) in enumerate(zip(xs, y_vals)):
-            if log10:
-                if xv <= 0:
-                    raise NonPositiveValueError(i, x_col, xv)
-                if yv <= 0:
-                    raise NonPositiveValueError(i, resolved, yv)
-                pts.append((math.log10(xv), math.log10(yv)))
-            else:
-                pts.append((xv, yv))
-        series.append(ScatterSeries(
-            x_name=x_col, y_name=resolved, points=tuple(pts), log10=log10))
+    for y_col in y_cols:
+        if log10:
+            xs, y_vals = log_columns(data, (x_col, y_col), math.log10)
+        else:
+            xs, y_vals = data.column(x_col), data.column(y_col)
+        series.append(ScatterSeries(x_name=x_col, y_name=y_col,
+                                    points=tuple(zip(xs, y_vals)), log10=log10))
     return series
 
 

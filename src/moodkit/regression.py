@@ -11,13 +11,13 @@ alone, so the rest of the package loads without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import asdict, dataclass
+from typing import Mapping
 
-from .dataset import COLUMN_ALIASES, Dataset
+from .dataset import Dataset, find_name, log_columns
 from .errors import (
     DegenerateModelError, DomainError, InsufficientDataError,
-    MissingPredictorError, NonPositiveValueError, RankDeficientError,
+    MissingPredictorError, RankDeficientError,
 )
 from .special import f_upper_p, t_two_sided_p
 
@@ -75,18 +75,7 @@ class AnovaTable:
     p_value: float
 
     def to_json(self) -> dict:
-        return {
-            "ss_regression": self.ss_regression,
-            "ss_residual": self.ss_residual,
-            "ss_total": self.ss_total,
-            "df_regression": self.df_regression,
-            "df_residual": self.df_residual,
-            "df_total": self.df_total,
-            "ms_regression": self.ms_regression,
-            "ms_residual": self.ms_residual,
-            "f_stat": self.f_stat,
-            "p_value": self.p_value,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -222,28 +211,21 @@ def anova(fit_result: FitResult) -> AnovaTable:
     return fit_result.anova
 
 
-def _resolve_input(name: str, inputs: Mapping[str, float]) -> Optional[float]:
-    if name in inputs:
-        return float(inputs[name])
-    alias = COLUMN_ALIASES.get(name)
-    if alias is not None and alias in inputs:
-        return float(inputs[alias])
-    return None
-
-
 def predict(fit_result: FitResult, inputs: Mapping[str, float]) -> float:
     """Evaluate the fitted equation at the given predictor values.
 
     Every predictor must be supplied (aliases accepted); extra keys are
-    ignored.  Raises MissingPredictorError naming the first absent column.
+    ignored.  Raises MissingPredictorError naming the first absent column,
+    and DomainError when the result is not finite.
     """
     coeffs = fit_result.coefficients
     total = coeffs[0].beta
     for est in coeffs[1:]:
-        v = _resolve_input(est.name, inputs)
-        if v is None:
-            raise MissingPredictorError(est.name)
-        total += est.beta * v
+        key = find_name(est.name, inputs, MissingPredictorError)
+        total += est.beta * float(inputs[key])
+    if not math.isfinite(total):
+        raise DomainError(f"prediction is {total!r}: the inputs are not finite "
+                          "or overflow double precision")
     return total
 
 
@@ -267,17 +249,7 @@ def log_transform(data: Dataset, base10: bool = True) -> Dataset:
     base10 gives log10 and "_log10" names; otherwise natural log and "_ln".
     Any value <= 0 raises NonPositiveValueError with its row and column.
     """
-    log_fn = math.log10 if base10 else math.log
     suffix = "_log10" if base10 else "_ln"
-    new_rows = []
-    for i, row in enumerate(data.rows):
-        out = []
-        for name, v in zip(data.columns, row):
-            if v <= 0:
-                raise NonPositiveValueError(i, name, v)
-            out.append(log_fn(v))
-        new_rows.append(tuple(out))
-    return Dataset(
-        columns=tuple(c + suffix for c in data.columns),
-        rows=tuple(new_rows),
-        provenance=data.provenance + suffix)
+    values = log_columns(data, data.columns, math.log10 if base10 else math.log)
+    return Dataset._of_columns(tuple(c + suffix for c in data.columns), values,
+                               data.n_rows, data.provenance + suffix)

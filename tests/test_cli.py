@@ -189,6 +189,15 @@ def test_fit_bad_csv_header_is_parse_error(tmp_path, capsys, header):
     assert "MALFORMED_ROW" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("text", ["\n", "\nNOL,NOC\n1,2\n"])
+def test_fit_blank_csv_header_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, "fit", str(path), "--response", "NOL")
+    assert code == 2
+    assert "MALFORMED_ROW" in err and "line 1" in err
+
+
 def test_dataset_non_utf8_header_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"NOL,N\xffOC\n1,2\n")
@@ -233,6 +242,23 @@ def test_predict_bad_value_is_usage_error(capsys):
                        "--response", "NOL",
                        "--NOC", "sixty-five", "--NOM", "1446", "--NOA", "537")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_predict_non_finite_value_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "predict", "builtin:table1",
+                         "--response", "NOL", "--format", "json",
+                         "--NOC", value, "--NOM", "1", "--NOA", "1")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_predict_overflowing_result_is_domain_error(capsys):
+    code, out, err = run(capsys, "predict", "builtin:table1",
+                         "--response", "NOL", "--format", "json",
+                         "--NOC", "1e308", "--NOM", "1e308", "--NOA", "1e308")
+    assert code == 4 and out == ""
+    assert "DOMAIN" in err
 
 
 def test_extras_rejected_outside_predict(capsys):

@@ -13,6 +13,7 @@ from moodkit import (
 
 from tests.modelgen import make_model, rename_model
 from tests.oracles import metric_oracle
+from tests.timing import best_ratio
 
 H = Visibility.HIDDEN
 V = Visibility.VISIBLE
@@ -321,16 +322,13 @@ def test_deep_chain_needs_no_recursion():
 
 def test_chain_cost_grows_linearly():
     # validate + compute_all per doubling of depth: about 2x when linear,
-    # 8x for the cubic walk this index replaced.  Best of three, fresh
-    # models each time, since a model keeps its index.
-    def best(depth):
-        times = []
-        for _ in range(3):
-            model = chain(depth)
-            start = time.perf_counter()
-            validate(model)
-            compute_all(model)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    # 8x for the cubic walk this index replaced.  A fresh model for each
+    # timing, since a model keeps its index.
+    def timed(depth):
+        model = chain(depth)
+        start = time.perf_counter()
+        validate(model)
+        compute_all(model)
+        return time.perf_counter() - start
 
-    assert best(4000) / best(2000) < 3
+    assert best_ratio(timed, 4000, 2000) < 3

@@ -8,6 +8,7 @@ from moodkit import (
 )
 
 from tests.modelgen import make_model
+from tests.timing import best_ratio
 
 
 def test_minimal_class():
@@ -233,8 +234,6 @@ def test_parse_cost_grows_linearly(one_line):
     # cursor that rescanned the source from its start for each position
     # would be quadratic, 3.5x or more here: the padding makes that rescan,
     # fast in C, outweigh the per-token work.
-    # Best of three pairs, each timed back to back so that both sizes see
-    # the same load on the machine.
     def source(n):
         text = "".join(
             f"class C{i}{f' extends C{i - 1}' if i else ''} {{\n"
@@ -247,5 +246,4 @@ def test_parse_cost_grows_linearly(one_line):
         parse(text)
         return time.perf_counter() - start
 
-    small, large = source(2000), source(4000)
-    assert min(timed(large) / timed(small) for _ in range(3)) < 3
+    assert best_ratio(timed, source(4000), source(2000)) < 3

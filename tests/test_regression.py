@@ -332,6 +332,26 @@ def test_log_transform_rejects_nonpositive():
     assert exc.value.row == 1 and exc.value.column == "a"
 
 
+def test_log_transform_reports_first_nonpositive_in_row_order():
+    from moodkit import NonPositiveValueError
+    # Column by column, a's 0 in row 1 would be found before c's -3 in row
+    # 0.  Within a row, the leftmost value is reported.
+    for rows, want in [([(1.0, 2.0, -3.0), (0.0, 1.0, 1.0)], (0, "c", -3.0)),
+                       ([(1.0, 1.0, 1.0), (1.0, -2.0, 0.0)], (1, "b", -2.0))]:
+        with pytest.raises(NonPositiveValueError) as exc:
+            log_transform(make_dataset(["a", "b", "c"], rows))
+        assert (exc.value.row, exc.value.column, exc.value.value) == want
+
+
+def test_predict_non_finite_result_is_domain_error():
+    result = fit(builtin_table1(), ModelSpec(response="NOL",
+                                             predictors=("NOC", "NOM", "NOA")))
+    with pytest.raises(DomainError):
+        predict(result, {"NOC": 1e308, "NOM": 1e308, "NOA": 1e308})
+    with pytest.raises(DomainError):
+        predict(result, {"NOC": math.nan, "NOM": 1.0, "NOA": 1.0})
+
+
 def test_fit_result_json_shape():
     result = fit_all_interchange(builtin_table1())[0]
     payload = result.to_json()
