@@ -51,10 +51,14 @@ class MethodDecl:
     override_target: Optional[tuple[str, str]] = None
 
     def __post_init__(self):
-        if (self.kind is MethodKind.OVERRIDE) != (self.override_target is not None):
+        target = self.override_target
+        if (self.kind is MethodKind.OVERRIDE) != (target is not None):
             raise ValueError(
                 f"method {self.name!r}: kind {self.kind.value!r} inconsistent "
-                f"with override_target {self.override_target!r}")
+                f"with override_target {target!r}")
+        if target is not None and (type(target) is not tuple or len(target) != 2):
+            raise ValueError(f"method {self.name!r}: override_target must be "
+                             f"a (class, method) pair, got {target!r}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,10 @@ class ClassDecl:
     uses: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Accept any sequence; store tuples so declarations hash and compare.
+        # Accept any sequence of names but a bare string, which would split
+        # into characters; store tuples so declarations hash and compare.
+        if isinstance(self.parents, str) or isinstance(self.uses, str):
+            raise TypeError(f"class {self.name!r}: a bare str as parents or uses")
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -96,12 +103,12 @@ class ClassModel:
 
     def __init__(self, classes: Iterable[ClassDecl]):
         self._classes = tuple(classes)
-        by_name: dict[str, ClassDecl] = {}
-        for decl in self._classes:
-            if decl.name in by_name:
+        position: dict[str, int] = {}
+        for i, decl in enumerate(self._classes):
+            if decl.name in position:
                 raise ValueError(f"duplicate class name: {decl.name!r}")
-            by_name[decl.name] = decl
-        self._by_name = by_name
+            position[decl.name] = i
+        self._position = position
         self._index: Optional[_InheritanceIndex] = None
 
     @property
@@ -115,7 +122,7 @@ class ClassModel:
         return iter(self._classes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._position
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassModel):
@@ -130,7 +137,7 @@ class ClassModel:
 
     def get(self, name: str) -> ClassDecl:
         try:
-            return self._by_name[name]
+            return self._classes[self._position[name]]
         except KeyError:
             raise UnknownClassError(name) from None
 
@@ -183,37 +190,35 @@ def validate(model: ClassModel) -> list[Diagnostic]:
     """Check every model invariant; an empty list means the model is valid.
 
     Structural problems (dangling names, cycles, duplicate features) are
-    always reported.  Inheritance-sensitive checks (shadowing, override
-    targets) run only when the parent graph is resolvable and acyclic,
-    since they are meaningless otherwise.
+    always reported.  Shadowing and override-target checks run only on a
+    resolved, acyclic parent graph whose override targets all exist.
     """
     diags: list[Diagnostic] = []
     if len(model) == 0:
         return [Diagnostic(EMPTY_MODEL, "model declares no classes")]
 
-    parent_graph_ok = True
-    for decl in model:
-        seen: set[str] = set()
-        for m in decl.methods:
-            if m.name in seen:
-                diags.append(Diagnostic(
-                    DUPLICATE_METHOD,
-                    f"method {m.name!r} declared more than once in {decl.name!r}",
-                    decl.name))
-            seen.add(m.name)
-        seen = set()
-        for a in decl.attributes:
-            if a.name in seen:
-                diags.append(Diagnostic(
-                    DUPLICATE_ATTRIBUTE,
-                    f"attribute {a.name!r} declared more than once in {decl.name!r}",
-                    decl.name))
-            seen.add(a.name)
+    # Per feature name, the bitmask of the classes that declare it.  A name
+    # whose mask already holds this class's bit is a duplicate.
+    method_declarers: dict[str, int] = {}
+    attr_declarers: dict[str, int] = {}
+    unknown_target = False
+    for i, decl in enumerate(model):
+        bit = 1 << i
+        for kind, code, features, declarers in (
+                ("method", DUPLICATE_METHOD, decl.methods, method_declarers),
+                ("attribute", DUPLICATE_ATTRIBUTE, decl.attributes, attr_declarers)):
+            for f in features:
+                mask = declarers.get(f.name, 0)
+                if mask & bit:
+                    diags.append(Diagnostic(
+                        code,
+                        f"{kind} {f.name!r} declared more than once in "
+                        f"{decl.name!r}", decl.name))
+                declarers[f.name] = mask | bit
 
         if decl.name in decl.parents:
             diags.append(Diagnostic(
                 SELF_REFERENCE, f"{decl.name!r} lists itself as a parent", decl.name))
-            parent_graph_ok = False
         if decl.name in decl.uses:
             diags.append(Diagnostic(
                 SELF_REFERENCE, f"{decl.name!r} lists itself in uses", decl.name))
@@ -223,7 +228,6 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                 diags.append(Diagnostic(
                     UNRESOLVED_NAME,
                     f"{decl.name!r} extends unknown class {parent!r}", decl.name))
-                parent_graph_ok = False
         for used in decl.uses:
             if used != decl.name and used not in model:
                 diags.append(Diagnostic(
@@ -235,20 +239,20 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                     UNRESOLVED_NAME,
                     f"{decl.name!r}.{m.name} overrides method of unknown class "
                     f"{m.override_target[0]!r}", decl.name))
-                parent_graph_ok = False
+                unknown_target = True
 
+    # A self-parent makes the index cyclic too: its class never joins the
+    # Kahn order.  Only cycles of two or more classes are reported as CYCLE.
     index = _index(model)
-    cycles = _inheritance_cycles(model) if index.cyclic else []
-    for members in cycles:
-        diags.append(Diagnostic(
-            CYCLE,
-            "inheritance cycle: " + " -> ".join(members + (members[0],)),
-            members[0]))
-    if cycles:
-        parent_graph_ok = False
-
-    if parent_graph_ok:
-        diags.extend(_check_inheritance_semantics(model, index))
+    if index.cyclic:
+        for members in _inheritance_cycles(model):
+            diags.append(Diagnostic(
+                CYCLE,
+                "inheritance cycle: " + " -> ".join(members + (members[0],)),
+                members[0]))
+    elif not (index.unresolved or unknown_target):
+        diags.extend(_check_inheritance_semantics(
+            model, index, method_declarers, attr_declarers))
     return diags
 
 
@@ -265,64 +269,57 @@ def _inheritance_cycles(model: ClassModel) -> list[tuple[str, ...]]:
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = [0]
+    # Iterative Tarjan: (node, edge iterator) frames.
+    work: list[tuple[str, Iterator[str]]] = []
     sccs: list[tuple[str, ...]] = []
 
-    def strongconnect(start: str):
-        # Iterative Tarjan: (node, edge iterator) frames.
-        work = [(start, iter(edges[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
+    def visit(node: str):
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(edges[node])))
+
+    for decl in model:
+        if decl.name in index:
+            continue
+        visit(decl.name)
         while work:
             node, it = work[-1]
-            advanced = False
             for succ in it:
                 if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(edges[succ])))
-                    advanced = True
+                    visit(succ)
                     break
                 if succ in on_stack:
                     low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    sccs.append(tuple(sorted(component)))
-
-    for decl in model:
-        if decl.name not in index:
-            strongconnect(decl.name)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1:
+                        sccs.append(tuple(sorted(component)))
     sccs.sort()
     return sccs
 
 
-def _check_inheritance_semantics(model: ClassModel,
-                                 index: _InheritanceIndex) -> list[Diagnostic]:
+def _check_inheritance_semantics(
+        model: ClassModel, index: _InheritanceIndex,
+        method_declarers: dict[str, int],
+        attr_declarers: dict[str, int]) -> list[Diagnostic]:
     """Shadowing and override-target checks; requires an acyclic, resolved graph.
 
     A class inherits a name exactly when one of its strict ancestors
     declares it, so each check ANDs the mask of the classes declaring a
-    name with an ancestor mask.
+    name (from ``validate``'s duplicate check) with an ancestor mask.
     """
-    method_declarers = _declarers(model, ClassDecl.method_names)
-    attr_declarers = _declarers(model, ClassDecl.attribute_names)
     diags: list[Diagnostic] = []
     for decl, ancestors in zip(model, index.ancestors):
         for m in decl.methods:
@@ -334,7 +331,7 @@ def _check_inheritance_semantics(model: ClassModel,
                     "declare it with 'overrides' or rename it", decl.name))
             elif m.kind is MethodKind.OVERRIDE:
                 target_cls, target_meth = m.override_target
-                target = index.position[target_cls]
+                target = model._position[target_cls]
                 if target_meth != m.name:
                     diags.append(Diagnostic(
                         BAD_OVERRIDE,
@@ -359,17 +356,6 @@ def _check_inheritance_semantics(model: ClassModel,
     return diags
 
 
-def _declarers(model: ClassModel,
-               names_of: Callable[[ClassDecl], set[str]]) -> dict[str, int]:
-    """Per feature name, the bitmask of the classes that declare it."""
-    out: dict[str, int] = {}
-    for i, decl in enumerate(model):
-        bit = 1 << i
-        for name in names_of(decl):
-            out[name] = out.get(name, 0) | bit
-    return out
-
-
 class _InheritanceIndex:
     """Inheritance facts of one model, per class in declaration position.
 
@@ -377,12 +363,10 @@ class _InheritanceIndex:
     holds, the per-class lists are empty: ancestors are not defined.
     """
 
-    __slots__ = ("position", "cyclic", "unresolved", "ancestors",
-                 "descendants", "inherited_methods", "inherited_attrs")
+    __slots__ = ("cyclic", "unresolved", "ancestors", "descendants",
+                 "inherited_methods", "inherited_attrs")
 
-    def __init__(self, position: dict[str, int], cyclic: bool,
-                 unresolved: bool):
-        self.position = position
+    def __init__(self, cyclic: bool, unresolved: bool):
         self.cyclic = cyclic
         self.unresolved = unresolved
         self.ancestors: list[int] = []
@@ -409,7 +393,7 @@ def _valid_index(model: ClassModel) -> _InheritanceIndex:
 
 def _build_index(model: ClassModel) -> _InheritanceIndex:
     decls = model.classes
-    position = {decl.name: i for i, decl in enumerate(decls)}
+    position = model._position
     parents: list[list[int]] = []
     children: list[list[int]] = [[] for _ in decls]
     unresolved = False
@@ -433,7 +417,7 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
             waiting[k] -= 1
             if not waiting[k]:
                 order.append(k)
-    index = _InheritanceIndex(position, len(order) < len(decls), unresolved)
+    index = _InheritanceIndex(len(order) < len(decls), unresolved)
     if index.cyclic or unresolved:
         return index
 
@@ -526,7 +510,7 @@ def tallies(model: ClassModel, name: str) -> ClassTallies:
     """
     decl = model.get(name)
     index = _valid_index(model)
-    i = index.position[name]
+    i = model._position[name]
     m_v = sum(1 for m in decl.methods if m.visibility is Visibility.VISIBLE)
     m_h = len(decl.methods) - m_v
     m_n = sum(1 for m in decl.methods if m.kind is MethodKind.NEW)
@@ -553,4 +537,4 @@ def descendants(model: ClassModel, name: str) -> int:
     """
     model.get(name)
     index = _valid_index(model)
-    return index.descendants[index.position[name]]
+    return index.descendants[model._position[name]]

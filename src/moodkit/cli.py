@@ -36,14 +36,6 @@ class _UsageError(Exception):
     """Bad command line or bad source token; maps to exit 2."""
 
 
-def _default_format() -> str:
-    fmt = os.environ.get("MOODKIT_FORMAT", "table")
-    if fmt not in FORMATS:
-        raise _UsageError(
-            f"MOODKIT_FORMAT must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    return fmt
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moodkit",
@@ -59,21 +51,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="compute design metrics from an .omdl file")
     p.add_argument("model_path", help="path to an .omdl model file")
     add_common(p)
+    p.set_defaults(run=cmd_metrics)
 
     p = sub.add_parser("fit", help="least-squares fit on a dataset")
     p.add_argument("source", help="CSV path or builtin:table1")
     p.add_argument("--response", required=True,
                    help="response column, or 'all' for the four-way interchange")
     add_common(p)
+    p.set_defaults(run=cmd_fit)
 
-    p = sub.add_parser("predict", help="fit, then evaluate at given values")
+    # The --<COLUMN> value flags pass through unparsed, so no option of
+    # predict may match them as an abbreviation.
+    p = sub.add_parser("predict", help="fit, then evaluate at given values",
+                       allow_abbrev=False)
     p.add_argument("source", help="CSV path or builtin:table1")
     p.add_argument("--response", required=True, help="response column")
     add_common(p)
+    p.set_defaults(run=cmd_predict)
 
     p = sub.add_parser("dataset", help="dump a data source")
     p.add_argument("source", help="CSV path or builtin:table1")
     add_common(p)
+    p.set_defaults(run=cmd_dataset)
 
     p = sub.add_parser("plot", help="write scatter files, one per y column")
     p.add_argument("source", help="CSV path or builtin:table1")
@@ -85,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true",
                    help="emit SVG images instead of CSV point files")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=cmd_plot, output=None)
     return parser
 
 
@@ -171,10 +171,9 @@ def cmd_metrics(args) -> str:
     if diags:
         raise InvalidModelError(diags)
     report = metrics_mod.compute_all(doc.model)
-    fmt = args.format or _default_format()
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps(report.to_json(), indent=2) + "\n"
-    if fmt == "csv":
+    if args.format == "csv":
         return _metrics_csv(report)
     return _metrics_table(report)
 
@@ -236,14 +235,13 @@ def _render_fits(fits: list[FitResult], many: bool, fmt: str) -> str:
 
 def cmd_fit(args) -> str:
     data = _load_source(args.source)
-    fmt = args.format or _default_format()
     if args.response == "all":
         fits = regression.fit_all_interchange(data)
-        return _render_fits(fits, True, fmt)
+        return _render_fits(fits, True, args.format)
     response = data.resolve(args.response)
     predictors = tuple(c for c in data.columns if c != response)
     fit = regression.fit(data, ModelSpec(response=response, predictors=predictors))
-    return _render_fits([fit], False, fmt)
+    return _render_fits([fit], False, args.format)
 
 
 def _parse_value_flags(extras: Sequence[str]) -> dict[str, float]:
@@ -273,32 +271,30 @@ def _parse_value_flags(extras: Sequence[str]) -> dict[str, float]:
     return values
 
 
-def cmd_predict(args, extras: Sequence[str]) -> str:
+def cmd_predict(args) -> str:
     data = _load_source(args.source)
     response = data.resolve(args.response)
     predictors = tuple(c for c in data.columns if c != response)
     fit = regression.fit(data, ModelSpec(response=response, predictors=predictors))
-    values = _parse_value_flags(extras)
+    values = _parse_value_flags(args.extras)
     prediction = regression.predict(fit, values)
-    fmt = args.format or _default_format()
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps({"response": response,
                            "inputs": values,
                            "prediction": prediction}, indent=2) + "\n"
-    if fmt == "csv":
+    if args.format == "csv":
         return f"response,prediction\n{response},{prediction!r}\n"
     return f"{prediction!r}\n"
 
 
 def cmd_dataset(args) -> str:
     data = _load_source(args.source)
-    fmt = args.format or _default_format()
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps({"columns": list(data.columns),
                            "provenance": data.provenance,
                            "rows": [list(r) for r in data.rows]},
                           indent=2) + "\n"
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         write_csv(data, buf)
         return buf.getvalue()
@@ -314,7 +310,7 @@ def cmd_dataset(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_plot(args) -> list[str]:
+def cmd_plot(args) -> str:
     data = _load_source(args.source)
     ys = [part for part in args.y.split(",") if part]
     if not ys:
@@ -342,8 +338,8 @@ def cmd_plot(args) -> list[str]:
             payload = "\n".join(lines) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        written.append(path)
-    return written
+        written.append(path + "\n")
+    return "".join(written)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -355,17 +351,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if extras and args.command != "predict":
             raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-        if args.command == "metrics":
-            _emit(cmd_metrics(args), args.output)
-        elif args.command == "fit":
-            _emit(cmd_fit(args), args.output)
-        elif args.command == "predict":
-            _emit(cmd_predict(args, extras), args.output)
-        elif args.command == "dataset":
-            _emit(cmd_dataset(args), args.output)
-        elif args.command == "plot":
-            for path in cmd_plot(args):
-                sys.stdout.write(path + "\n")
+        args.extras = extras
+        if "format" in args and args.format is None:
+            args.format = os.environ.get("MOODKIT_FORMAT", "table")
+            if args.format not in FORMATS:
+                raise _UsageError(f"MOODKIT_FORMAT must be one of "
+                                  f"{', '.join(FORMATS)}, got {args.format!r}")
+        _emit(args.run(args), args.output)
         return 0
     except _UsageError as exc:
         print(f"moodkit: error: {exc}", file=sys.stderr)

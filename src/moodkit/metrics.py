@@ -132,7 +132,7 @@ def cf(model: ClassModel) -> MetricValue:
     for decl, ancestors in zip(model, index.ancestors):
         # Duplicate uses entries count once: is_client is a 0/1 predicate.
         for target in set(decl.uses):
-            j = index.position.get(target)
+            j = model._position.get(target)
             if j is not None and target != decl.name and not ancestors >> j & 1:
                 clients += 1
     return MetricValue(clients, tc * tc - tc)

@@ -33,6 +33,8 @@ class ModelSpec:
     intercept: bool = True
 
     def __post_init__(self):
+        if isinstance(self.predictors, str):
+            raise TypeError("predictors take column names, not a str")
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if not self.intercept:
             raise ValueError("models without an intercept are not supported")

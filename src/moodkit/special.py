@@ -199,6 +199,11 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 def _check_df(df, label: str) -> int:
     if isinstance(df, bool) or not isinstance(df, int):
         raise DomainError(f"{label} must be a positive integer, got {df!r}")
+    try:
+        float(df)
+    except OverflowError:
+        # No repr: an int this large can exceed the int-to-str digit limit.
+        raise DomainError(f"{label} is out of the float range") from None
     if df < 1:
         raise DomainError(f"{label} must be >= 1, got {df!r}")
     return df

@@ -40,6 +40,18 @@ def test_method_decl_rejects_inconsistent_override():
         MethodDecl(name="x", kind=MethodKind.NEW, override_target=("A", "x"))
 
 
+@pytest.mark.parametrize("target", [("A",), ("A", "x", "y"), "Ax", ["A", "x"]])
+def test_method_decl_rejects_malformed_override_target(target):
+    with pytest.raises(ValueError, match="pair"):
+        MethodDecl(name="x", kind=MethodKind.OVERRIDE, override_target=target)
+
+
+@pytest.mark.parametrize("field", ["parents", "uses"])
+def test_class_decl_rejects_bare_string_names(field):
+    with pytest.raises(TypeError, match="bare str"):
+        ClassDecl("X", **{field: "Base"})
+
+
 def test_duplicate_class_names_rejected():
     with pytest.raises(ValueError, match="duplicate class name"):
         ClassModel([cls("A"), cls("A")])
@@ -167,6 +179,27 @@ def test_inheritance_checks_gated_on_broken_graph():
     ])
     got = codes(model)
     assert CYCLE in got
+    assert SHADOWING not in got and BAD_OVERRIDE not in got
+
+
+# Base/Sub carry a shadowing method and a bad override; each case adds one
+# cause that must switch the inheritance-sensitive checks off.
+_GATED_CORE = [
+    cls("Base", methods=(m("f"),)),
+    cls("Sub", parents=("Base",),
+        methods=(m("f"), m("g", target=("Base", "g")))),
+]
+
+
+@pytest.mark.parametrize("cause, code", [
+    (cls("X", parents=("X",)), SELF_REFERENCE),
+    (cls("X", parents=("Ghost",)), UNRESOLVED_NAME),
+    (cls("X", methods=(m("f", target=("Ghost", "f")),)), UNRESOLVED_NAME),
+], ids=["self-parent", "unresolved-parent", "unknown-override-class"])
+def test_inheritance_checks_gated_on_each_cause(cause, code):
+    assert {SHADOWING, BAD_OVERRIDE} <= set(codes(ClassModel(_GATED_CORE)))
+    got = codes(ClassModel(_GATED_CORE + [cause]))
+    assert code in got
     assert SHADOWING not in got and BAD_OVERRIDE not in got
 
 

@@ -261,6 +261,25 @@ def test_predict_overflowing_result_is_domain_error(capsys):
     assert "DOMAIN" in err
 
 
+def test_predict_columns_named_like_option_prefixes(tmp_path, capsys):
+    # --out, --form and --res are prefixes of --output, --format and
+    # --response; predict must read them as column flags.
+    src = tmp_path / "d.csv"
+    src.write_text("y,out,form,res\n1,2,3,4\n2,1,5,3\n3,5,1,1\n"
+                   "4,3,2,5\n5,9,7,2\n6,2,2,8\n")
+    point = {"out": 3.0, "form": 2.0, "res": 1.0}
+    code, out, err = run(capsys, "predict", str(src), "--response", "y",
+                         "--out", "3", "--form", "2", "--res", "1",
+                         "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["inputs"] == point
+    with open(src, newline="") as fh:
+        data = moodkit.read_csv(fh)
+    spec = moodkit.ModelSpec(response="y", predictors=("out", "form", "res"))
+    assert payload["prediction"] == moodkit.predict(moodkit.fit(data, spec), point)
+
+
 def test_extras_rejected_outside_predict(capsys):
     code, _, err = run(capsys, "fit", "builtin:table1", "--response", "NOL",
                        "--NOC", "65")

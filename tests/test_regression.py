@@ -39,6 +39,11 @@ def test_model_spec_invariants():
         ModelSpec(response="y", predictors=("x",), intercept=False)
 
 
+def test_spec_rejects_bare_string_predictors():
+    with pytest.raises(TypeError, match="str"):
+        ModelSpec(response="NOL", predictors="NOC")
+
+
 def test_exact_linear_data():
     data = make_dataset(["x", "y"], [(i, 1 + 2 * i) for i in range(1, 8)])
     result = fit(data, ModelSpec(response="y", predictors=("x",)))

@@ -221,3 +221,14 @@ def test_f_domain():
         f_upper_p(1.0, 0, 29)
     with pytest.raises(DomainError):
         f_upper_p(1.0, 3, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t_two_sided_p(1.0, 10**400),
+    lambda: f_upper_p(1.0, 10**400, 3),
+    lambda: f_upper_p(1.0, 3, 10**400),
+    lambda: t_two_sided_p(1.0, -10**5000),
+], ids=["t", "f-df1", "f-df2", "t-negative"])
+def test_df_without_a_float_value_is_domain_error(call):
+    with pytest.raises(DomainError, match="float range"):
+        call()
