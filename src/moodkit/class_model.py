@@ -37,6 +37,19 @@ class MethodKind(enum.Enum):
     OVERRIDE = "override"
 
 
+def _type_error(decl, field_name: str, value, kind: type) -> TypeError:
+    return TypeError(f"{type(decl).__name__} {decl.name!r}: {field_name} "
+                     f"holds {value!r}, not a {kind.__name__}")
+
+
+def _check_member(decl) -> None:
+    # Plain isinstance tests, no loop: this runs for every parsed member.
+    if not isinstance(decl.name, str):
+        raise _type_error(decl, "name", decl.name, str)
+    if not isinstance(decl.visibility, Visibility):
+        raise _type_error(decl, "visibility", decl.visibility, Visibility)
+
+
 @dataclass(frozen=True)
 class MethodDecl:
     """A method declaration.
@@ -51,20 +64,30 @@ class MethodDecl:
     override_target: Optional[tuple[str, str]] = None
 
     def __post_init__(self):
+        _check_member(self)
+        if not isinstance(self.kind, MethodKind):
+            raise _type_error(self, "kind", self.kind, MethodKind)
         target = self.override_target
         if (self.kind is MethodKind.OVERRIDE) != (target is not None):
             raise ValueError(
                 f"method {self.name!r}: kind {self.kind.value!r} inconsistent "
                 f"with override_target {target!r}")
-        if target is not None and (type(target) is not tuple or len(target) != 2):
-            raise ValueError(f"method {self.name!r}: override_target must be "
-                             f"a (class, method) pair, got {target!r}")
+        if target is not None:
+            if type(target) is not tuple or len(target) != 2:
+                raise ValueError(f"method {self.name!r}: override_target must "
+                                 f"be a (class, method) pair, got {target!r}")
+            for part in target:
+                if not isinstance(part, str):
+                    raise _type_error(self, "override_target", part, str)
 
 
 @dataclass(frozen=True)
 class AttributeDecl:
     name: str
     visibility: Visibility = Visibility.VISIBLE
+
+    def __post_init__(self):
+        _check_member(self)
 
 
 @dataclass(frozen=True)
@@ -80,10 +103,15 @@ class ClassDecl:
         # into characters; store tuples so declarations hash and compare.
         if isinstance(self.parents, str) or isinstance(self.uses, str):
             raise TypeError(f"class {self.name!r}: a bare str as parents or uses")
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "uses", tuple(self.uses))
+        if not isinstance(self.name, str):
+            raise _type_error(self, "name", self.name, str)
+        for field_name, kind in (("parents", str), ("methods", MethodDecl),
+                                 ("attributes", AttributeDecl), ("uses", str)):
+            values = tuple(getattr(self, field_name))
+            for value in values:
+                if not isinstance(value, kind):
+                    raise _type_error(self, field_name, value, kind)
+            object.__setattr__(self, field_name, values)
 
     def method_names(self) -> set[str]:
         return {m.name for m in self.methods}

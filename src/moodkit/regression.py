@@ -109,9 +109,9 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """OLS fit of spec on data with t-based coefficient inference.
 
     Preconditions: more rows than parameters, full-rank design, response
-    not constant.  Errors: InsufficientDataError, DomainError (naming a
-    column whose values overflow the factorization), RankDeficientError
-    (naming the dependent column), DegenerateModelError.
+    not constant.  Errors: InsufficientDataError, DomainError (values that
+    overflow the QR or the sums of squares), RankDeficientError (naming the
+    dependent column), DegenerateModelError.
     """
     import numpy as np
 
@@ -147,15 +147,20 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     rinv = np.linalg.inv(r)
     beta = rinv @ r_aug[:p, p]
 
-    fitted = X @ beta
-    resid = y - fitted
-    y_mean = float(y.mean())
-    ss_total = float(((y - y_mean) ** 2).sum())
-    ss_residual = float((resid ** 2).sum())
-    # Computed from the fitted values, not as ss_total - ss_residual, so the
-    # decomposition identity stays a real numerical property of the solver.
-    ss_regression = float(((fitted - y_mean) ** 2).sum())
-    scale = float((y ** 2).sum())
+    # Squares beyond ~1e154 overflow: report that, not a zero variance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = X @ beta
+        resid = y - fitted
+        y_mean = float(y.mean())
+        ss_total = float(((y - y_mean) ** 2).sum())
+        ss_residual = float((resid ** 2).sum())
+        # Computed from the fitted values, not as ss_total - ss_residual, so
+        # the decomposition identity stays a real property of the solver.
+        ss_regression = float(((fitted - y_mean) ** 2).sum())
+        scale = float((y ** 2).sum())
+    if not np.isfinite((ss_total, ss_residual, ss_regression)).all():
+        raise DomainError(f"sums of squares of response {response!r} overflow "
+                          "double precision; rescale it")
     if ss_total <= 1e-14 * max(scale, 1.0):
         raise DegenerateModelError(
             f"response {spec.response!r} has zero variance")

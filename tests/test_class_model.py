@@ -52,6 +52,30 @@ def test_class_decl_rejects_bare_string_names(field):
         ClassDecl("X", **{field: "Base"})
 
 
+OVERRIDE = MethodKind.OVERRIDE
+
+
+@pytest.mark.parametrize("decl, kwargs, field", [
+    (ClassDecl, dict(name=3), "name"),
+    (ClassDecl, dict(name="X", parents=[["A"]]), "parents"),
+    (ClassDecl, dict(name="X", uses=("A", None)), "uses"),
+    (ClassDecl, dict(name="X", methods=("f",)), "methods"),
+    (ClassDecl, dict(name="X", attributes=(m("f"),)), "attributes"),
+    (MethodDecl, dict(name=b"f"), "name"),
+    (MethodDecl, dict(name="f", visibility="visible", kind="new"), "visibility"),
+    (MethodDecl, dict(name="f", kind="new"), "kind"),
+    (MethodDecl, dict(name="f", kind=OVERRIDE, override_target=(["A"], "f")),
+     "override_target"),
+    (MethodDecl, dict(name="f", kind=OVERRIDE, override_target=("A", 1)),
+     "override_target"),
+    (AttributeDecl, dict(name=None), "name"),
+    (AttributeDecl, dict(name="x", visibility="hidden"), "visibility"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_declarations_reject_wrong_types(decl, kwargs, field):
+    with pytest.raises(TypeError, match=f"^{decl.__name__} .*: {field} holds "):
+        decl(**kwargs)
+
+
 def test_duplicate_class_names_rejected():
     with pytest.raises(ValueError, match="duplicate class name"):
         ClassModel([cls("A"), cls("A")])

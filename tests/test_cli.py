@@ -1,8 +1,12 @@
+import collections
 import json
 import math
 import os
+import random
+import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -423,3 +427,119 @@ def test_cli_import_does_not_load_numpy():
     code = "import moodkit.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=60)
+
+
+_FUZZ_COLUMNS = ["NOL", "NOC", "NOM", "NOA", "nol", "x", "<&>", "é", "",
+                 " ", "a b", "..", "../z", "a/b"]
+_FUZZ_CELLS = ["0", "1", "-2", "3.5", "1e300", "-1e300", "1e-300", "inf",
+               "nan", "", "abc", "1,5", "\"7\"", " 4 "]
+_FUZZ_OMDL = ["class", "extends", "method", "attribute", "uses", "overrides",
+              "visible", "hidden", "A", "B", "C", "run", "{", "}", ";", ",",
+              ".", "//x", "\n", "\r\n", "#", "\udcff"]  # \udcff: a raw 0xff byte
+_FUZZ_CLASSES = ["class D extends D { }", "class E extends Nope { }",
+                 "class F { uses Nope; }", "class G extends Base { method run; }",
+                 "class H extends Base { method f overrides Helper.f; }",
+                 "class Base { }"]
+
+
+def _fuzz_csv(rng):
+    """Random CSV bytes and the column names in their header."""
+    if rng.random() < 0.1:
+        blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 40)))
+        return blob, []
+    width = rng.randint(1, 5)
+    names = _FUZZ_COLUMNS if rng.random() < 0.2 else _FUZZ_COLUMNS[:8]
+    header = rng.sample(names, width)
+    lines = [",".join(header)]
+    for _ in range(rng.randint(0, 12)):
+        cells = [str(rng.randint(1, 10 ** rng.randint(1, 6)))
+                 for _ in range(width + (rng.random() < 0.02))]
+        if cells and rng.random() < 0.05:
+            cells[rng.randrange(len(cells))] = rng.choice(_FUZZ_CELLS)
+        lines.append(",".join(cells))
+    return ("\r\n" if rng.random() < 0.2 else "\n").join(lines).encode(), header
+
+
+def _fuzz_omdl(rng):
+    if rng.random() < 0.5:
+        text = VALID_MODEL
+        for _ in range(rng.randint(0, 2)):
+            cut = rng.randrange(len(text) + 1)
+            text = text[:cut] + rng.choice(_FUZZ_OMDL) + text[cut:]
+        if rng.random() < 0.5:
+            text += rng.choice(_FUZZ_CLASSES) + "\n"
+    else:
+        text = " ".join(rng.choice(_FUZZ_OMDL)
+                        for _ in range(rng.randint(0, 30)))
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _fuzz_argv(rng, header, csv_path, omdl_path, out_file, out_dir):
+    pick = rng.choice
+    column = lambda: pick(header * 3 + _FUZZ_COLUMNS + ["all", "noa"])
+    command = pick(["metrics", "fit", "predict", "dataset", "plot"] * 3
+                   + ["-h", "bogus"])
+    source = pick([csv_path] * 6 + ["builtin:table1", "builtin:nope",
+                                    omdl_path, csv_path + ".missing"])
+    if command == "metrics":
+        source = pick([omdl_path] * 8 + [csv_path, omdl_path + ".missing"])
+    argv = [command, source]
+    if command in ("fit", "predict"):
+        argv += ["--response", column()]
+    if command == "predict":
+        for _ in range(rng.randint(0, 3)):
+            argv += ["--" + column(), pick(["2", "0", "-1e5", "1e308", "x"])]
+    if command == "plot":
+        argv += ["--out", out_dir, "--x", column(), "--y",
+                 ",".join(column() for _ in range(rng.randint(1, 3)))]
+        argv += [flag for flag in ("--log10", "--svg") if rng.random() < 0.5]
+    elif rng.random() < 0.5:
+        argv += ["--format", pick(["table", "json", "csv"] * 3 + ["yaml"])]
+    if command != "plot" and rng.random() < 0.3:
+        argv += ["-o", out_file]
+    if rng.random() < 0.2:
+        noise = pick(["--x", "--svg", "--out", "--", "-q", "--x=1", "--format"])
+        argv.insert(rng.randint(1, len(argv)), noise)
+    return argv
+
+
+def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
+    # Any input bytes and any argv end in a documented exit code with a
+    # one-line message, write only to the -o file or into --out, and every
+    # SVG written is well-formed.
+    rng = random.Random(8)
+    inputs, out_root = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    monkeypatch.chdir(inputs)
+    csv_path, omdl_path = str(inputs / "d.csv"), str(inputs / "m.omdl")
+    out_file, out_dir = str(out_root / "result.txt"), str(out_root / "plots")
+    codes, svgs = collections.Counter(), 0
+    for _ in range(600):
+        blob, header = _fuzz_csv(rng)
+        (inputs / "d.csv").write_bytes(blob)
+        (inputs / "m.omdl").write_bytes(_fuzz_omdl(rng))
+        out_root.mkdir()
+        monkeypatch.delenv("MOODKIT_FORMAT", raising=False)
+        if rng.random() < 0.1:
+            monkeypatch.setenv("MOODKIT_FORMAT", rng.choice(["json", "xml"]))
+        argv = _fuzz_argv(rng, header, csv_path, omdl_path, out_file, out_dir)
+        try:
+            code = main(argv)
+        except Exception as exc:  # would be a traceback at the command line
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        assert sorted(os.listdir(tmp_path)) == ["in", "out"]
+        assert sorted(os.listdir(inputs)) == ["d.csv", "m.omdl"]
+        for path in out_root.rglob("*"):
+            assert str(path) in (out_file, out_dir) or (
+                str(path.parent) == out_dir), (argv, path)
+            if path.suffix == ".svg":
+                ET.parse(path)
+                svgs += 1
+        codes[code] += 1
+        shutil.rmtree(out_root)
+    # the cases reach success, each kind of failure, and the SVG writer
+    assert set(codes) == {0, 1, 2, 3, 4}, codes
+    assert svgs > 0, codes

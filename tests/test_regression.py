@@ -100,6 +100,14 @@ def test_overflowing_column_is_named_not_rank_deficient():
         fit(data, ModelSpec(response="y", predictors=("x",)))
 
 
+def test_overflowing_sums_of_squares_are_named_not_zero_variance():
+    # A response near 1e200 factors fine, but its squares overflow; the
+    # inf sum of squares must not pass for a constant response.
+    data = make_dataset(["x", "y"], [(1, 2.0), (2, 1e200), (3, 5.0), (4, 1.0)])
+    with pytest.raises(DomainError, match="response 'y' overflow"):
+        fit(data, ModelSpec(response="y", predictors=("x",)))
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e200, 1e300])
 def test_rank_test_does_not_depend_on_column_scale(scale):
     # Each column is tested against its own scale, so rescaling x moves its

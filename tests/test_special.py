@@ -65,6 +65,24 @@ def test_ln_gamma_dense_relative_accuracy_sweep():
     assert worst < 1e-12
 
 
+def test_ln_gamma_away_from_the_zeros_and_at_overflow():
+    # below 0.5 and from 1e6 up, ln_gamma is math.lgamma, which no other
+    # test reaches; above about 2.5e305 ln Gamma(x) leaves the float range
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def log_grid(lo, hi):
+        return [10 ** (lo + (hi - lo) * i / 199) for i in range(200)]
+
+    grid = log_grid(-300, math.log10(0.4999)) + log_grid(6, math.log10(2.5e305))
+    assert max(grid[:200]) < 0.5 and max(grid) < 2.6e305
+    for x in grid:
+        want = mpmath.loggamma(mpmath.mpf(x))
+        assert float(abs(ln_gamma(x) - want) / abs(want)) < 1e-14, x
+    assert ln_gamma(math.inf) == math.inf
+    assert ln_gamma(1e306) == math.inf
+
+
 def test_ln_gamma_domain():
     with pytest.raises(DomainError):
         ln_gamma(0.0)
