@@ -8,20 +8,20 @@ the metric formulas; :func:`descendants` counts the proper subtree below a
 class.
 
 Every inheritance query reads one index, built on first use and kept on the
-model.  One iterative build in Kahn topological order gives each class its
-strict ancestors as an int bitmask (bit i is the i-th declared class), its
-strict-descendant count, and the number of distinct (origin, name) methods
-and attributes it inherits.  The cost is near-linear in the size of the
-model, so hierarchies of any depth need no recursion.  Queries that need
-the index raise :class:`~moodkit.errors.InvalidModelError`, carrying the
-model's diagnostics, when a parent name is unresolved or the parent graph
-is cyclic.
+model.  One iterative Tarjan pass over the parent graph finds its cycles and
+a topological order, in which each class gets its strict ancestors as an
+int bitmask (bit i is the i-th declared class), its strict-descendant count,
+and the number of distinct (origin, name) methods and attributes it
+inherits.  The cost is near-linear in the size of the model, so hierarchies
+of any depth need no recursion.  Queries that need the index raise
+:class:`~moodkit.errors.InvalidModelError`, carrying the model's
+diagnostics, when a parent name is unresolved or the parent graph is cyclic.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidModelError, UnknownClassError
@@ -133,9 +133,10 @@ class ClassModel:
         self._classes = tuple(classes)
         position: dict[str, int] = {}
         for i, decl in enumerate(self._classes):
-            if decl.name in position:
+            if not isinstance(decl, ClassDecl):
+                raise TypeError(f"ClassModel: classes holds {decl!r}, not a ClassDecl")
+            if position.setdefault(decl.name, i) != i:
                 raise ValueError(f"duplicate class name: {decl.name!r}")
-            position[decl.name] = i
         self._position = position
         self._index: Optional[_InheritanceIndex] = None
 
@@ -269,73 +270,18 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                     f"{m.override_target[0]!r}", decl.name))
                 unknown_target = True
 
-    # A self-parent makes the index cyclic too: its class never joins the
-    # Kahn order.  Only cycles of two or more classes are reported as CYCLE.
+    # A self-parent makes the index cyclic but is no edge of the parent
+    # graph, so it gets SELF_REFERENCE alone: CYCLE is for two or more.
     index = _index(model)
-    if index.cyclic:
-        for members in _inheritance_cycles(model):
-            diags.append(Diagnostic(
-                CYCLE,
-                "inheritance cycle: " + " -> ".join(members + (members[0],)),
-                members[0]))
-    elif not (index.unresolved or unknown_target):
+    for members in index.cycles:
+        diags.append(Diagnostic(
+            CYCLE,
+            "inheritance cycle: " + " -> ".join(members + (members[0],)),
+            members[0]))
+    if not (index.cyclic or index.unresolved or unknown_target):
         diags.extend(_check_inheritance_semantics(
             model, index, method_declarers, attr_declarers))
     return diags
-
-
-def _inheritance_cycles(model: ClassModel) -> list[tuple[str, ...]]:
-    """Strongly connected components of size > 1 in the parent graph.
-
-    Each component yields one diagnostic; members are reported in name order
-    so output is deterministic.  Unresolved parent edges are ignored here
-    (they get their own diagnostic).
-    """
-    edges = {c.name: [p for p in c.parents if p in model and p != c.name]
-             for c in model}
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    # Iterative Tarjan: (node, edge iterator) frames.
-    work: list[tuple[str, Iterator[str]]] = []
-    sccs: list[tuple[str, ...]] = []
-
-    def visit(node: str):
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(edges[node])))
-
-    for decl in model:
-        if decl.name in index:
-            continue
-        visit(decl.name)
-        while work:
-            node, it = work[-1]
-            for succ in it:
-                if succ not in index:
-                    visit(succ)
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1:
-                        sccs.append(tuple(sorted(component)))
-    sccs.sort()
-    return sccs
 
 
 def _check_inheritance_semantics(
@@ -387,14 +333,17 @@ def _check_inheritance_semantics(
 class _InheritanceIndex:
     """Inheritance facts of one model, per class in declaration position.
 
-    ``cyclic`` and ``unresolved`` describe the parent graph.  When either
-    holds, the per-class lists are empty: ancestors are not defined.
+    ``cycles`` (each of two or more classes, as sorted names), ``cyclic`` (a
+    cycle or a self-parent) and ``unresolved`` describe the parent graph.
+    When either of the last two holds, the per-class lists are empty.
     """
 
-    __slots__ = ("cyclic", "unresolved", "ancestors", "descendants",
+    __slots__ = ("cycles", "cyclic", "unresolved", "ancestors", "descendants",
                  "inherited_methods", "inherited_attrs")
 
-    def __init__(self, cyclic: bool, unresolved: bool):
+    def __init__(self, cycles: list[tuple[str, ...]], cyclic: bool,
+                 unresolved: bool):
+        self.cycles = cycles
         self.cyclic = cyclic
         self.unresolved = unresolved
         self.ancestors: list[int] = []
@@ -421,31 +370,65 @@ def _valid_index(model: ClassModel) -> _InheritanceIndex:
 
 def _build_index(model: ClassModel) -> _InheritanceIndex:
     decls = model.classes
-    position = model._position
-    parents: list[list[int]] = []
-    children: list[list[int]] = [[] for _ in decls]
-    unresolved = False
+    parents: list[list[int]] = [[] for _ in decls]
+    n_children = [0] * len(decls)
+    unresolved = self_parent = False
     for i, decl in enumerate(decls):
-        resolved = []
         for name in dict.fromkeys(decl.parents):
-            j = position.get(name)
+            j = model._position.get(name)
             if j is None:
                 unresolved = True
+            elif j == i:
+                self_parent = True
             else:
-                resolved.append(j)
-                children[j].append(i)
-        parents.append(resolved)
+                parents[i].append(j)
+                n_children[j] += 1
 
-    # Kahn: a class joins the order once all its parents have.  Classes on
-    # or below a cycle (a self-parent included) never join.
-    waiting = [len(ps) for ps in parents]
-    order = [i for i, w in enumerate(waiting) if not w]
-    for i in order:
-        for k in children[i]:
-            waiting[k] -= 1
-            if not waiting[k]:
-                order.append(k)
-    index = _InheritanceIndex(len(order) < len(decls), unresolved)
+    # Iterative Tarjan over the parent edges.  A component is emitted only
+    # after every component it reaches, so a class follows its ancestors:
+    # singletons make the order, larger components the cycles.  low[i] is 0
+    # until i is visited; a live class is numbered by its stack position, an
+    # emitted one takes `done`, above every live number.  Components come
+    # off the stack's end (stack.index is quadratic on child-first chains).
+    done = len(decls) + 1
+    low = [0] * len(decls)
+    stack: list[int] = []
+    work: list[tuple[int, int, Iterator[int]]] = []
+    order: list[int] = []
+    cycles: list[tuple[str, ...]] = []
+    for start in range(len(decls)):
+        if low[start]:
+            continue
+        stack.append(start)
+        low[start] = 1
+        work.append((start, 1, iter(parents[start])))
+        while work:
+            i, number, edges = work[-1]
+            for j in edges:
+                if not low[j]:
+                    stack.append(j)
+                    low[j] = len(stack)
+                    work.append((j, len(stack), iter(parents[j])))
+                    break
+                if low[j] < low[i]:
+                    low[i] = low[j]
+            else:
+                work.pop()
+                if low[i] < number:
+                    k = work[-1][0]
+                    low[k] = min(low[k], low[i])
+                elif len(stack) == number:
+                    stack.pop()
+                    low[i] = done
+                    order.append(i)
+                else:
+                    component = stack[number - 1:]
+                    del stack[number - 1:]
+                    for j in component:
+                        low[j] = done
+                    cycles.append(tuple(sorted(decls[j].name for j in component)))
+    index = _InheritanceIndex(sorted(cycles), self_parent or bool(cycles),
+                              unresolved)
     if index.cyclic or unresolved:
         return index
 
@@ -455,23 +438,22 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
         for j in parents[i]:
             mask |= ancestors[j] | 1 << j
         ancestors[i] = mask
+    # In reverse order every descendant of i is done before i is pushed up.
     below = [0] * len(decls)
     for i in reversed(order):
-        mask = 0
-        for k in children[i]:
-            mask |= below[k] | 1 << k
-        below[i] = mask
+        for j in parents[i]:
+            below[j] |= below[i] | 1 << i
     index.ancestors = ancestors
     index.descendants = [mask.bit_count() for mask in below]
     index.inherited_methods = _inherited_counts(
-        decls, order, parents, children, ClassDecl.method_names)
+        decls, order, parents, n_children, ClassDecl.method_names)
     index.inherited_attrs = _inherited_counts(
-        decls, order, parents, children, ClassDecl.attribute_names)
+        decls, order, parents, n_children, ClassDecl.attribute_names)
     return index
 
 
 def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],
-                      parents: list[list[int]], children: list[list[int]],
+                      parents: list[list[int]], n_children: list[int],
                       names_of: Callable[[ClassDecl], set[str]]) -> list[int]:
     """Per class, the number of distinct (origin, name) features it inherits.
 
@@ -487,7 +469,7 @@ def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],
     child has read it, and that child takes it over instead of copying it,
     so a chain carries a single map.
     """
-    unread = [len(ch) for ch in children]
+    unread = list(n_children)
     held: dict[int, tuple[dict[str, frozenset[int]], int]] = {}
     inherited = [0] * len(decls)
     for i in order:

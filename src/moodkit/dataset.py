@@ -43,6 +43,9 @@ class Dataset:
     def __init__(self, columns: Iterable[str], rows: Iterable[Iterable[float]],
                  provenance: str = "unspecified"):
         columns = tuple(columns)
+        for name in columns:
+            if not isinstance(name, str):
+                raise TypeError(f"Dataset: columns holds {name!r}, not a str")
         rows = tuple(tuple(float(v) for v in row) for row in rows)
         if len(set(columns)) != len(columns):
             raise ValueError(f"duplicate column names: {columns!r}")
@@ -243,6 +246,22 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _axis(values: list[float], start: float,
+          length: float) -> Callable[[float], float]:
+    """Map the padded [min, max] of ``values`` onto start + [0, length];
+    a negative length runs up the canvas.
+
+    The arithmetic runs on quarters of the values: quartering a normal
+    double is exact, so the pixels are those of the plain formula, and no
+    difference, even between -max and +max double, overflows.  Equal values
+    pad by 5% of their size, at least 1, so that the pad never rounds away.
+    """
+    lo, hi = min(values, default=0.0) / 4, max(values, default=0.0) / 4
+    pad = (hi - lo) * 0.05 or max(0.25, abs(lo) * 0.05)
+    lo, hi = lo - pad, hi + pad
+    return lambda v: start + (v / 4 - lo) / (hi - lo) * length
+
+
 def svg_scatter(series: ScatterSeries) -> str:
     """Render one series as a standalone 640x480 SVG with labeled axes.
 
@@ -251,20 +270,9 @@ def svg_scatter(series: ScatterSeries) -> str:
     """
     width, height = 640, 480
     margin = 50
-    xs = [p[0] for p in series.points] or [0.0]
-    ys = [p[1] for p in series.points] or [0.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_pad = (x_hi - x_lo) * 0.05 or 1.0
-    y_pad = (y_hi - y_lo) * 0.05 or 1.0
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-
-    def sx(v: float) -> float:
-        return margin + (v - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(v: float) -> float:
-        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+    sx = _axis([p[0] for p in series.points], margin, width - 2 * margin)
+    sy = _axis([p[1] for p in series.points], height - margin,
+               2 * margin - height)
 
     suffix = " (log10)" if series.log10 else ""
     x_label = _xml_text(series.x_name + suffix)

@@ -161,7 +161,7 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     if not np.isfinite((ss_total, ss_residual, ss_regression)).all():
         raise DomainError(f"sums of squares of response {response!r} overflow "
                           "double precision; rescale it")
-    if ss_total <= 1e-14 * max(scale, 1.0):
+    if ss_total <= 1e-14 * scale:
         raise DegenerateModelError(
             f"response {spec.response!r} has zero variance")
 

@@ -153,7 +153,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     ln_front = (ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
                 + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
+    try:
+        front = math.exp(ln_front)
+    except OverflowError:
+        # The true prefactor is far below the largest double, so the
+        # log-gamma differences in ln_front have cancelled.
+        raise DomainError(f"reg_inc_beta({x!r}, {a!r}, {b!r}) lost its "
+                          "precision: the log prefactor overflows") from None
     if x < (a + 1.0) / (a + b + 2.0):
         v = front * _beta_cf(x, a, b) / a
     else:

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from moodkit.class_model import (
 )
 
 from tests.modelgen import make_model
+from tests.timing import best_ratio
 
 
 def cls(name, parents=(), methods=(), attributes=(), uses=()):
@@ -76,6 +79,12 @@ def test_declarations_reject_wrong_types(decl, kwargs, field):
         decl(**kwargs)
 
 
+@pytest.mark.parametrize("element", ["A", None, MethodDecl(name="f")])
+def test_class_model_rejects_non_class_decls(element):
+    with pytest.raises(TypeError, match="^ClassModel: classes holds "):
+        ClassModel([cls("B"), element])
+
+
 def test_duplicate_class_names_rejected():
     with pytest.raises(ValueError, match="duplicate class name"):
         ClassModel([cls("A"), cls("A")])
@@ -132,6 +141,33 @@ def test_two_independent_cycles():
     diags = [d for d in validate(model) if d.code == CYCLE]
     assert len(diags) == 2
     assert sorted(d.class_name for d in diags) == ["A", "X"]
+
+
+def test_long_cycle_is_one_cycle_without_recursion():
+    n = 10_000
+    model = ClassModel(cls(f"C{i}", parents=(f"C{(i + 1) % n}",))
+                       for i in range(n))
+    diags = validate(model)
+    assert [d.code for d in diags] == [CYCLE]
+    assert diags[0].class_name == "C0"
+
+
+def test_parent_graph_walk_cost_grows_linearly():
+    # A chain declared child-first whose root lists itself as a parent:
+    # the self-parent ends the index build after the walk of the parent
+    # graph, so validate times that walk.  About 4x per quadrupling when
+    # linear; taking each class off the stack by a search from the bottom
+    # makes it quadratic, 12-14x.  Collecting first keeps a collection of
+    # the model's garbage out of the timing.
+    def timed(depth):
+        model = ClassModel(cls(f"C{i}", parents=(f"C{max(i - 1, 0)}",))
+                           for i in reversed(range(depth)))
+        gc.collect()
+        start = time.perf_counter()
+        validate(model)
+        return time.perf_counter() - start
+
+    assert best_ratio(timed, 16_000, 4_000) < 8
 
 
 def test_duplicate_features():

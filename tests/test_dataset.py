@@ -198,6 +198,30 @@ def test_svg_scatter_structure():
     assert svg_scatter(series) == svg
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ((-1.7e308, 1.7e308), (1.0, 2.0)),
+    ((1.0, 2.0), (-1.7e308, 1.7e308)),
+    ((1e17, 1e17), (-1e300, -1e300)),
+    ((1.7e308,), (-1.7e308,)),
+])
+def test_svg_scatter_coordinates_finite_on_canvas(xs, ys):
+    # The span of the extreme doubles overflows, and a pad of 1 vanishes
+    # beside 1e17; either way every point must land on the canvas.
+    data = Dataset(columns=("x", "y"), rows=tuple(zip(xs, ys)))
+    root = ElementTree.fromstring(svg_scatter(scatter(data, "x", ["y"])[0]))
+    circles = list(root.iter("{http://www.w3.org/2000/svg}circle"))
+    assert len(circles) == len(xs)
+    for c in circles:
+        assert 50 <= float(c.get("cx")) <= 590
+        assert 50 <= float(c.get("cy")) <= 430
+
+
+@pytest.mark.parametrize("columns", [(1, "y"), ("x", None), (b"x",)])
+def test_dataset_rejects_non_str_column_names(columns):
+    with pytest.raises(TypeError, match="^Dataset: columns holds "):
+        Dataset(columns=columns, rows=())
+
+
 def test_svg_scatter_escapes_labels():
     data = Dataset(columns=("<b>&", "y"), rows=((1.0, 2.0), (3.0, 5.0)))
     svg = svg_scatter(scatter(data, "<b>&", ["y"])[0])

@@ -299,17 +299,23 @@ def test_unresolved_parent_raises_invalid_model_error():
     _assert_invalid(model, "UNRESOLVED_NAME")
 
 
-def chain(depth):
-    """C0 <- C1 <- ... with one method and one attribute per class."""
-    return ClassModel(
-        cls(f"C{i}", parents=(f"C{i - 1}",) if i else (),
-            methods=(m(f"m{i}"),), attributes=(a(f"a{i}"),))
-        for i in range(depth))
+def chain(depth, child_first=False):
+    """C0 <- C1 <- ... with one method and one attribute per class,
+    declared from C0 on, or from the deepest class on when child_first."""
+    decls = [cls(f"C{i}", parents=(f"C{i - 1}",) if i else (),
+                 methods=(m(f"m{i}"),), attributes=(a(f"a{i}"),))
+             for i in range(depth)]
+    return ClassModel(reversed(decls) if child_first else decls)
 
 
-def test_deep_chain_needs_no_recursion():
+DECLARATION_ORDERS = pytest.mark.parametrize(
+    "child_first", [False, True], ids=["parent-first", "child-first"])
+
+
+@DECLARATION_ORDERS
+def test_deep_chain_needs_no_recursion(child_first):
     depth = 10_000
-    model = chain(depth)
+    model = chain(depth, child_first)
     assert validate(model) == []
     report = compute_all(model)
     inherited = depth * (depth - 1) // 2
@@ -320,12 +326,13 @@ def test_deep_chain_needs_no_recursion():
     assert report.pf.denominator == inherited
 
 
-def test_chain_cost_grows_linearly():
+@DECLARATION_ORDERS
+def test_chain_cost_grows_linearly(child_first):
     # validate + compute_all per doubling of depth: about 2x when linear,
     # 8x for the cubic walk this index replaced.  A fresh model for each
     # timing, since a model keeps its index.
     def timed(depth):
-        model = chain(depth)
+        model = chain(depth, child_first)
         start = time.perf_counter()
         validate(model)
         compute_all(model)

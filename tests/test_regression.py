@@ -131,6 +131,27 @@ def test_degenerate_constant_response():
         fit(data, ModelSpec(response="y", predictors=("x",)))
 
 
+@pytest.mark.parametrize("power", [-30, -300])
+def test_small_response_fits_like_the_unscaled_one(power):
+    # Scaling y by a power of two is exact, so r², t and p are bit for bit
+    # those of the unscaled fit; no absolute floor may call y constant.
+    rows = [(1.0, 1.0), (3.0, 2.0), (4.0, 5.0), (7.0, 3.0)]
+    spec = ModelSpec(response="y", predictors=("x",))
+    ref = fit(make_dataset(["x", "y"], rows), spec)
+    got = fit(make_dataset(["x", "y"], [(x, math.ldexp(y, power))
+                                         for x, y in rows]), spec)
+    assert got.r_squared == ref.r_squared
+    for r, g in zip(ref.coefficients, got.coefficients):
+        assert (g.t_stat, g.p_value) == (r.t_stat, r.p_value)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-9])
+def test_zero_and_small_constant_responses_are_degenerate(value):
+    data = make_dataset(["x", "y"], [(i, value) for i in range(10)])
+    with pytest.raises(DegenerateModelError):
+        fit(data, ModelSpec(response="y", predictors=("x",)))
+
+
 def test_anova_returns_fit_table():
     data, _ = random_dataset(random.Random(7), 20, 2)
     result = fit(data, ModelSpec(response="y", predictors=("x0", "x1")))

@@ -250,3 +250,10 @@ def test_f_domain():
 def test_df_without_a_float_value_is_domain_error(call):
     with pytest.raises(DomainError, match="float range"):
         call()
+
+
+def test_overflowing_prefactor_is_domain_error():
+    # At df1·f near 1e69 the log-gamma differences of the prefactor cancel
+    # and its exp overflows; that is a lost precision, not an OverflowError.
+    with pytest.raises(DomainError, match="precision"):
+        f_upper_p(1.904e46, 9 * 10**22, 10**7)
