@@ -21,7 +21,9 @@ import sys
 from typing import Optional, Sequence
 
 from . import class_model, metrics as metrics_mod, omdl, regression
-from .dataset import Dataset, builtin_table1, read_csv, scatter, svg_scatter, write_csv
+from .dataset import (
+    Dataset, builtin_table1, csv_lines, read_csv, scatter, svg_scatter, write_csv,
+)
 from .errors import (
     InvalidModelError, MalformedRowError, MoodkitError, NonNumericError,
 )
@@ -215,13 +217,10 @@ def _fit_table(fit: FitResult) -> str:
 
 
 def _fit_csv(fits: list[FitResult]) -> str:
-    lines = ["response,term,beta,std_error,t,p"]
-    for fit in fits:
-        for c in fit.coefficients:
-            lines.append(
-                f"{fit.spec.response},{c.name},{c.beta!r},{c.std_error!r},"
-                f"{c.t_stat!r},{c.p_value!r}")
-    return "\n".join(lines) + "\n"
+    # csv writes a float as its repr, which round-trips.
+    return csv_lines([("response", "term", "beta", "std_error", "t", "p")] + [
+        (fit.spec.response, c.name, c.beta, c.std_error, c.t_stat, c.p_value)
+        for fit in fits for c in fit.coefficients])
 
 
 def _render_fits(fits: list[FitResult], many: bool, fmt: str) -> str:
@@ -283,7 +282,7 @@ def cmd_predict(args) -> str:
                            "inputs": values,
                            "prediction": prediction}, indent=2) + "\n"
     if args.format == "csv":
-        return f"response,prediction\n{response},{prediction!r}\n"
+        return csv_lines([("response", "prediction"), (response, prediction)])
     return f"{prediction!r}\n"
 
 
@@ -331,11 +330,8 @@ def cmd_plot(args) -> str:
             payload = svg_scatter(series)
         else:
             path = os.path.join(args.out, stem + ".csv")
-            x_label = series.x_name + suffix
-            y_label = series.y_name + suffix
-            lines = [f"{x_label},{y_label}"]
-            lines += [f"{x!r},{y!r}" for x, y in series.points]
-            payload = "\n".join(lines) + "\n"
+            payload = csv_lines([(series.x_name + suffix, series.y_name + suffix),
+                                 *series.points])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
         written.append(path + "\n")

@@ -8,6 +8,7 @@ is looked up, since both names are in circulation for the same measure.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Sequence, TextIO
@@ -182,13 +183,22 @@ def _render_value(v: float) -> str:
     return repr(v)
 
 
+def csv_lines(rows: Iterable[Iterable]) -> str:
+    """rows as CSV text, each line ending in "\\n".  Only a field that needs
+    it, such as a name with a comma, a quote or a line break, is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def write_csv(data: Dataset, sink: TextIO) -> None:
     """Emit the dataset as CSV; read_csv(write_csv(d)) reproduces d.
 
-    Integral values are written without a decimal point; others with repr,
-    which round-trips floats exactly.
+    Column names are quoted where CSV needs it.  Integral values are
+    written without a decimal point; others with repr, which round-trips
+    floats exactly.
     """
-    sink.write(",".join(data.columns) + "\n")
+    sink.write(csv_lines([data.columns]))
     for row in data.rows:
         sink.write(",".join(_render_value(v) for v in row) + "\n")
 

@@ -13,6 +13,10 @@ Grammar (EBNF):
 
 Identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``; ``//`` starts a comment
 running to end of line; input is UTF-8.  Omitted visibility means visible.
+
+The parser pulls tokens from the scanner one at a time and stores none.  A
+character that can start no token is reported ahead of any grammar error,
+wherever it stands in the input.
 """
 
 from __future__ import annotations
@@ -31,15 +35,15 @@ KEYWORDS = frozenset(
      "visible", "hidden"})
 
 # One match per token, with the whitespace and comments before it.  Group 1
-# is the token, or "" at end of input; group 2 is a character that cannot
-# start a token.  The skip never needs backtracking: after it, one of the
-# alternatives always matches.
+# is the token, "" at end of input, or None when group 2 holds a character
+# that cannot start a token.  The skip never needs backtracking: after it,
+# one of the alternatives always matches.
 _SCAN = re.compile(
     r"""(?:[ \t\r\n]+|//[^\n]*)*
         (?: ([A-Za-z_][A-Za-z0-9_]*|[{};,.]|\Z) | (.) )""",
     re.VERBOSE | re.DOTALL,
 )
-_NOT_IDENT = KEYWORDS | set("{};,.") | {""}
+_NOT_IDENT = KEYWORDS | set("{};,.") | {"", None}
 
 
 class ParseError(MoodkitError):
@@ -67,125 +71,6 @@ class OmdlDocument:
     spans: dict
 
 
-class _Parser:
-    """Recursive descent over (text, offset) tokens; "" is end of input."""
-
-    def __init__(self, source: str):
-        self._source = source
-        self._line, self._line_start, self._seen = 1, 0, 0
-        self._tokens: list[tuple[str, int]] = []
-        for m in _SCAN.finditer(source):
-            text = m[1]
-            if text is None:
-                raise ParseError(self.where(m.start(2)), "a token", repr(m[2]))
-            self._tokens.append((text, m.start(1)))
-            if not text:
-                break
-        self._i = 0
-
-    def where(self, offset: int) -> tuple[int, int]:
-        """(line, column) of an offset no smaller than the last one asked.
-
-        Only the text between the two is scanned, so the positions of a
-        whole parse cost one pass over the source, even on one long line.
-        """
-        newlines = self._source.count("\n", self._seen, offset)
-        if newlines:
-            self._line += newlines
-            self._line_start = self._source.rfind("\n", self._seen, offset) + 1
-        self._seen = offset
-        return self._line, offset - self._line_start + 1
-
-    @property
-    def text(self) -> str:
-        return self._tokens[self._i][0]
-
-    def fail(self, expected: str):
-        text, offset = self._tokens[self._i]
-        raise ParseError(self.where(offset), expected,
-                         repr(text) if text else "end of input")
-
-    def accept(self, word: str) -> bool:
-        """Consume the current token if its text is ``word``."""
-        if self.text == word:
-            self._i += 1
-            return True
-        return False
-
-    def expect(self, word: str):
-        if not self.accept(word):
-            self.fail(f"'{word}'")
-
-    def ident(self) -> tuple[str, int]:
-        tok = self._tokens[self._i]
-        if tok[0] in _NOT_IDENT:
-            self.fail("identifier")
-        self._i += 1
-        return tok
-
-    def ident_list(self) -> list[str]:
-        names = [self.ident()[0]]
-        while self.accept(","):
-            names.append(self.ident()[0])
-        return names
-
-    def document(self) -> OmdlDocument:
-        classes: list[ClassDecl] = []
-        spans: dict = {}
-        while self.text:
-            self.expect("class")
-            name, offset = self.ident()
-            if ("class", name) in spans:
-                raise ParseError(self.where(offset),
-                                 "a class name not declared before", repr(name))
-            spans[("class", name)] = self.where(offset)
-            parents = self.ident_list() if self.accept("extends") else []
-            self.expect("{")
-            methods: list[MethodDecl] = []
-            attributes: list[AttributeDecl] = []
-            uses: list[str] = []
-            while not self.accept("}"):
-                self._member(name, methods, attributes, uses, spans)
-            classes.append(ClassDecl(
-                name=name, parents=tuple(parents),
-                methods=tuple(methods), attributes=tuple(attributes),
-                uses=tuple(uses)))
-        return OmdlDocument(model=ClassModel(classes), spans=spans)
-
-    def _member(self, cls: str, methods: list, attributes: list,
-                uses: list, spans: dict):
-        visibility = Visibility.VISIBLE
-        if self.text in ("visible", "hidden"):
-            visibility = Visibility(self.text)
-            self._i += 1
-            if self.text not in ("method", "attribute"):
-                self.fail("'method' or 'attribute'")
-        if self.accept("method"):
-            name, offset = self.ident()
-            kind = MethodKind.NEW
-            target: Optional[tuple[str, str]] = None
-            if self.accept("overrides"):
-                target_cls = self.ident()[0]
-                self.expect(".")
-                target = (target_cls, self.ident()[0])
-                kind = MethodKind.OVERRIDE
-            self.expect(";")
-            methods.append(MethodDecl(
-                name=name, visibility=visibility, kind=kind,
-                override_target=target))
-            spans[("method", cls, name)] = self.where(offset)
-        elif self.accept("attribute"):
-            name, offset = self.ident()
-            self.expect(";")
-            attributes.append(AttributeDecl(name=name, visibility=visibility))
-            spans[("attribute", cls, name)] = self.where(offset)
-        elif self.accept("uses"):
-            uses.extend(self.ident_list())
-            self.expect(";")
-        else:
-            self.fail("'method', 'attribute', 'uses', or '}'")
-
-
 def parse(source: Union[str, bytes]) -> OmdlDocument:
     """Parse OMDL source into a document; ParseError on the first bad token.
 
@@ -201,36 +86,150 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             col = exc.start - prefix.rfind(b"\n")
             raise ParseError((line, col), "valid UTF-8",
                              f"byte 0x{source[exc.start]:02x}") from None
-    return _Parser(source).document()
+    # Recursive descent straight over the matches of _SCAN.  A match whose
+    # token is "" (end of input) or None (a character that cannot start a
+    # token) passes no check below, so no match after it is pulled.
+    scan = _SCAN.finditer(source)
+    line, line_start, seen = 1, 0, 0
+
+    def where(offset: int) -> tuple[int, int]:
+        """(line, column) of an offset no smaller than the last one asked.
+
+        Only the text between the two is scanned, so the positions of a
+        whole parse cost one pass over the source, even on one long line.
+        """
+        nonlocal line, line_start, seen
+        newlines = source.count("\n", seen, offset)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", seen, offset) + 1
+        seen = offset
+        return line, offset - line_start + 1
+
+    def fail(m: re.Match, expected: str):
+        # A character that cannot start a token is reported before any
+        # grammar error, wherever it is: look for one after m first.
+        if m[1] is not None:
+            m = next((later for later in scan if later[1] is None), m)
+        text = m[1]
+        if text is None:
+            raise ParseError(where(m.start(2)), "a token", repr(m[2]))
+        raise ParseError(where(m.start(1)), expected,
+                         repr(text) if text else "end of input")
+
+    def ident(m: re.Match) -> str:
+        name = m[1]
+        if name in _NOT_IDENT:
+            fail(m, "identifier")
+        return name
+
+    def ident_list(names: list) -> re.Match:
+        """Append IDENT { "," IDENT } to names; return the match after it."""
+        names.append(ident(next(scan)))
+        m = next(scan)
+        while m[1] == ",":
+            names.append(ident(next(scan)))
+            m = next(scan)
+        return m
+
+    classes: list[ClassDecl] = []
+    spans: dict = {}
+    m = next(scan)
+    while (word := m[1]) != "":
+        if word != "class":
+            fail(m, "'class'")
+        m = next(scan)
+        cls = ident(m)
+        if ("class", cls) in spans:
+            fail(m, "a class name not declared before")
+        spans[("class", cls)] = where(m.start(1))
+        parents: list[str] = []
+        m = next(scan)
+        if m[1] == "extends":
+            m = ident_list(parents)
+        if m[1] != "{":
+            fail(m, "'{'")
+        methods: list[MethodDecl] = []
+        attributes: list[AttributeDecl] = []
+        uses: list[str] = []
+        m = next(scan)
+        while (word := m[1]) != "}":
+            visibility = Visibility.VISIBLE
+            if word == "visible" or word == "hidden":
+                visibility = Visibility(word)
+                m = next(scan)
+                word = m[1]
+                if word != "method" and word != "attribute":
+                    fail(m, "'method' or 'attribute'")
+            if word == "method":
+                m = next(scan)
+                name = ident(m)
+                spans[("method", cls, name)] = where(m.start(1))
+                target: Optional[tuple[str, str]] = None
+                m = next(scan)
+                if m[1] == "overrides":
+                    target_cls = ident(next(scan))
+                    m = next(scan)
+                    if m[1] != ".":
+                        fail(m, "'.'")
+                    target = (target_cls, ident(next(scan)))
+                    m = next(scan)
+                methods.append(MethodDecl(
+                    name=name, visibility=visibility, override_target=target,
+                    kind=MethodKind.NEW if target is None else MethodKind.OVERRIDE))
+            elif word == "attribute":
+                m = next(scan)
+                name = ident(m)
+                spans[("attribute", cls, name)] = where(m.start(1))
+                attributes.append(AttributeDecl(name=name, visibility=visibility))
+                m = next(scan)
+            elif word == "uses":
+                m = ident_list(uses)
+            else:
+                fail(m, "'method', 'attribute', 'uses', or '}'")
+            if m[1] != ";":
+                fail(m, "';'")
+            m = next(scan)
+        classes.append(ClassDecl(
+            name=cls, parents=tuple(parents), methods=tuple(methods),
+            attributes=tuple(attributes), uses=tuple(uses)))
+        m = next(scan)
+    return OmdlDocument(model=ClassModel(classes), spans=spans)
+
+
+def _identifier(name: str) -> str:
+    """name, if the scanner reads it back as one identifier; else ValueError."""
+    if name in _NOT_IDENT or (m := _SCAN.fullmatch(name)) is None or m[1] != name:
+        raise ValueError(f"render: {name!r} is not an OMDL identifier")
+    return name
 
 
 def render(model: ClassModel) -> str:
     """Deterministic textual form of a model; parse(render(m)).model == m.
 
     Members are emitted methods first, then attributes, then one ``uses``
-    line, in declaration order; default visibility is left implicit.
+    line, in declaration order; default visibility is left implicit.  A
+    name that is not an OMDL identifier (a keyword, ``1x``, ``a b``) raises
+    ValueError naming the first such name in that order.
     """
     out: list[str] = []
     for decl in model:
-        header = f"class {decl.name}"
+        header = f"class {_identifier(decl.name)}"
         if decl.parents:
-            header += " extends " + ", ".join(decl.parents)
+            header += " extends " + ", ".join(map(_identifier, decl.parents))
         if not (decl.methods or decl.attributes or decl.uses):
             out.append(header + " { }")
             continue
         out.append(header + " {")
         for m in decl.methods:
-            parts = []
-            if m.visibility is Visibility.HIDDEN:
-                parts.append("hidden")
-            parts.append(f"method {m.name}")
-            if m.override_target is not None:
-                parts.append(f"overrides {m.override_target[0]}.{m.override_target[1]}")
-            out.append("    " + " ".join(parts) + ";")
+            prefix = "hidden " if m.visibility is Visibility.HIDDEN else ""
+            target = ("" if m.override_target is None else
+                      " overrides " + ".".join(map(_identifier, m.override_target)))
+            out.append(f"    {prefix}method {_identifier(m.name)}{target};")
         for a in decl.attributes:
             prefix = "hidden " if a.visibility is Visibility.HIDDEN else ""
-            out.append(f"    {prefix}attribute {a.name};")
+            out.append(f"    {prefix}attribute {_identifier(a.name)};")
         if decl.uses:
-            out.append("    uses " + ", ".join(decl.uses) + ";")
+            out.append("    uses " + ", ".join(map(_identifier, decl.uses)) + ";")
         out.append("}")
     return "\n".join(out) + "\n" if out else ""

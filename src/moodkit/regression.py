@@ -4,8 +4,9 @@ ANOVA decomposition, prediction, and the four-way response interchange.
 The solver is a Householder QR factorization of the design matrix (LAPACK
 dgeqrf through numpy); the normal equations are never formed, and the Gram
 inverse needed for standard errors comes from the triangular factor.
-Raw-unit coefficients only; no internal scaling.  numpy is imported by fit
-alone, so the rest of the package loads without it.
+Raw-unit coefficients only; the response alone is scaled internally, by a
+power of two, which is exact.  numpy is imported by fit alone, so the rest
+of the package loads without it.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
 
     Preconditions: more rows than parameters, full-rank design, response
     not constant.  Errors: InsufficientDataError, DomainError (values that
-    overflow the QR or the sums of squares), RankDeficientError (naming the
-    dependent column), DegenerateModelError.
+    overflow the QR, or coefficients or sums of squares that overflow),
+    RankDeficientError (naming the dependent column), DegenerateModelError.
     """
     import numpy as np
 
@@ -127,13 +128,22 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     for j, name in enumerate(names[1:] + [response], 1):
         aug[:, j] = data.column(name)
     X, y = aug[:, :p], aug[:, p]
+    # y in units of 2**y_exp, a power of two near its largest magnitude, so
+    # that its squares neither underflow nor overflow.  The scaling is
+    # exact: r², F, t and p are computed in these units, and beta, the
+    # standard errors and the sums of squares are scaled back at the end.
+    y_exp = math.frexp(np.abs(y).max())[1]
+    np.ldexp(y, -y_exp, out=y)
 
     r_aug = np.linalg.qr(aug, mode="r")
     r = r_aug[:p, :p]
     # Values near the largest double overflow inside the factorization; say
     # so before the rank test misreads the inf/NaN as a dependent column.
-    # The max propagates NaN, and the last entry is y's residual norm.
+    # The max propagates NaN.  y is factored in its own units, so the last
+    # entry is its norm in raw units, which overflows where its QR would.
     diag = np.abs(np.diag(r_aug))
+    with np.errstate(over="ignore"):
+        diag[p] = np.ldexp(np.linalg.norm(y), y_exp)
     if not math.isfinite(diag.max()):
         column = (names + [response])[int(np.argmin(np.isfinite(diag)))]
         raise DomainError(f"values of column {column!r} overflow double "
@@ -147,7 +157,9 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     rinv = np.linalg.inv(r)
     beta = rinv @ r_aug[:p, p]
 
-    # Squares beyond ~1e154 overflow: report that, not a zero variance.
+    df_regression = p - 1
+    df_residual = n - p
+    df_total = n - 1
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = X @ beta
         resid = y - fitted
@@ -158,23 +170,28 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         # the decomposition identity stays a real property of the solver.
         ss_regression = float(((fitted - y_mean) ** 2).sum())
         scale = float((y ** 2).sum())
-    if not np.isfinite((ss_total, ss_residual, ss_regression)).all():
-        raise DomainError(f"sums of squares of response {response!r} overflow "
-                          "double precision; rescale it")
+        ms_residual = ss_residual / df_residual
+        s = math.sqrt(ms_residual)
+        # sqrt(diag((XᵀX)⁻¹)) = row norms of R⁻¹, by hypot so that columns
+        # of extreme scale neither underflow nor overflow; initial=0.0 makes
+        # a one-entry row its absolute value.
+        se = s * np.hypot.reduce(rinv, axis=1, initial=0.0)
+        # In raw units, squares beyond ~1e154 overflow: report that, not a
+        # zero variance.
+        raw_ss = np.ldexp((ss_regression, ss_residual, ss_total), 2 * y_exp)
+        raw_beta, raw_se = np.ldexp((beta, se), y_exp)
+    if not (np.isfinite(raw_ss).all() and np.isfinite((raw_beta, raw_se)).all()):
+        raise DomainError(f"coefficients or sums of squares of response "
+                          f"{response!r} overflow double precision; rescale it")
     if ss_total <= 1e-14 * scale:
         raise DegenerateModelError(
             f"response {spec.response!r} has zero variance")
 
-    df_regression = p - 1
-    df_residual = n - p
-    df_total = n - 1
     ms_regression = ss_regression / df_regression if df_regression else 0.0
-    ms_residual = ss_residual / df_residual
     r_squared = 1.0 - ss_residual / ss_total
     if r_squared < 0.0:
         r_squared = 0.0
     adj_r_squared = 1.0 - (1.0 - r_squared) * (n - 1) / (n - p)
-    s = math.sqrt(ms_residual)
 
     if ms_residual > 0.0:
         f_stat = ms_regression / ms_residual
@@ -184,33 +201,30 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         f_stat = math.inf
         f_p = 0.0
 
-    # sqrt(diag((XᵀX)⁻¹)) = row norms of R⁻¹, by hypot so that columns of
-    # extreme scale neither underflow nor overflow; initial=0.0 makes a
-    # one-entry row its absolute value.
-    se_factors = np.hypot.reduce(rinv, axis=1, initial=0.0)
     coeffs = []
-    for name, b, f in zip(names, beta, se_factors):
-        se = s * f
-        if se > 0.0:
-            t = b / se
+    for name, b, b_se, raw_b, raw_b_se in zip(names, beta, se, raw_beta, raw_se):
+        if b_se > 0.0:
+            t = b / b_se
             pv = t_two_sided_p(t, df_residual)
         else:
             # Zero residual variance: the estimate is exact.
             t = math.inf if b > 0 else (-math.inf if b < 0 else 0.0)
             pv = 0.0 if b != 0 else 1.0
         coeffs.append(CoefficientEstimate(
-            name=name, beta=float(b), std_error=float(se),
+            name=name, beta=float(raw_b), std_error=float(raw_b_se),
             t_stat=float(t), p_value=float(pv)))
 
+    ss_regression, ss_residual, ss_total = raw_ss.tolist()
     anova_table = AnovaTable(
         ss_regression=ss_regression, ss_residual=ss_residual,
         ss_total=ss_total, df_regression=df_regression,
         df_residual=df_residual, df_total=df_total,
-        ms_regression=ms_regression, ms_residual=ms_residual,
-        f_stat=f_stat, p_value=f_p)
+        ms_regression=ss_regression / df_regression if df_regression else 0.0,
+        ms_residual=ss_residual / df_residual, f_stat=f_stat, p_value=f_p)
     return FitResult(
         spec=spec, n=n, coefficients=tuple(coeffs), r_squared=r_squared,
-        adj_r_squared=adj_r_squared, std_error_estimate=s, anova=anova_table)
+        adj_r_squared=adj_r_squared, std_error_estimate=math.ldexp(s, y_exp),
+        anova=anova_table)
 
 
 def anova(fit_result: FitResult) -> AnovaTable:

@@ -1,4 +1,6 @@
 import collections
+import csv
+import io
 import json
 import math
 import os
@@ -166,6 +168,33 @@ def test_fit_csv_from_file(tmp_path, capsys):
     betas = {c["name"]: c["beta"] for c in payload["coefficients"]}
     assert betas["intercept"] == pytest.approx(1.0, abs=1e-9)
     assert betas["x"] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_csv_output_quotes_column_names(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    path.write_text('NOC,"a,b",z\n1,2,5\n2,3,4\n4,5,9\n3,1,2\n5,7,1\n')
+    code, out, _ = run(capsys, "fit", str(path), "--response", "NOC",
+                       "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["response", "term", "beta", "std_error", "t", "p"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["NOC", "intercept"], ["NOC", "a,b"], ["NOC", "z"]]
+    assert all(len(row) == 6 for row in rows)
+
+    code, out, _ = run(capsys, "predict", str(path), "--response", "a,b",
+                       "--NOC", "2", "--z", "3", "--format", "csv")
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == [
+        "response", "a,b"]
+
+    out_dir = tmp_path / "plots"
+    code, out, _ = run(capsys, "plot", str(path), "--x", "a,b", "--y", "z",
+                       "--out", str(out_dir))
+    assert code == 0
+    with open(out.strip(), newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["a,b", "z"]
 
 
 def test_fit_malformed_csv_is_parse_error(tmp_path, capsys):

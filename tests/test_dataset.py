@@ -136,6 +136,18 @@ def test_write_csv_deterministic():
     assert a.getvalue() == b.getvalue()
 
 
+@pytest.mark.parametrize("names", [
+    ("a,b", "c"), ("line\nbreak", "x"), ('"quoted', "y"), ('mid"quote', "a, b"),
+], ids=["comma", "newline", "leading-quote", "inner-quote"])
+def test_write_csv_round_trips_names_that_need_quoting(names):
+    data = Dataset(columns=names, rows=((1.0, 2.5), (3.0, -4.0)))
+    buf = io.StringIO()
+    write_csv(data, buf)
+    again = read_csv(io.StringIO(buf.getvalue()))
+    assert again.columns == data.columns
+    assert again.rows == data.rows
+
+
 def test_scatter_linear():
     data = builtin_table1()
     series = scatter(data, "NOL", ["NOC", "NOM", "NOA"])

@@ -1,10 +1,12 @@
 import random
+import re
 import time
 
 import pytest
 
 from moodkit import (
-    ClassModel, MethodKind, ParseError, Visibility, parse, render, validate,
+    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, ParseError,
+    Visibility, parse, render, validate,
 )
 
 from tests.modelgen import make_model
@@ -148,6 +150,27 @@ def test_round_trip_on_generated_models():
         assert again.model == model
 
 
+@pytest.mark.parametrize("decl, bad", [
+    (ClassDecl("a b"), "a b"),
+    (ClassDecl("class"), "class"),
+    (ClassDecl("A", parents=("B", "1x")), "1x"),
+    (ClassDecl("A", uses=("é",)), "é"),
+    (ClassDecl("A", methods=(MethodDecl("m-1"),)), "m-1"),
+    (ClassDecl("A", attributes=(AttributeDecl("x;"),)), "x;"),
+    (ClassDecl("A", methods=(MethodDecl(
+        "m", kind=MethodKind.OVERRIDE, override_target=("B", "hidden")),)),
+     "hidden"),
+    (ClassDecl("A", methods=(MethodDecl(
+        "m", kind=MethodKind.OVERRIDE, override_target=(" B", "m")),)), " B"),
+    (ClassDecl("A", parents=("",), uses=("u v",)), ""),
+], ids=["space", "keyword", "digit-first", "non-ascii", "method", "attribute",
+        "override-keyword", "override-space", "first-of-two"])
+def test_render_rejects_names_parse_would_not_read(decl, bad):
+    # Rendered, each of these would not parse back to the same model.
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        render(ClassModel([ClassDecl("Ok"), decl]))
+
+
 def test_round_trip_diamond():
     src = ("class T { method f; attribute x; }\n"
            "class L extends T { method f overrides T.f; }\n"
@@ -226,6 +249,77 @@ def test_bad_character_on_line_three():
     # Characters are checked before any parsing: the missing class name on
     # line 1 is not reported.
     assert error_of("class {\n\n\t!") == ((3, 2), "a token", "'!'")
+
+
+@pytest.mark.parametrize("source", [
+    "class A { }\nclass A { }\n  !",
+    "class A { method m }\n  !",
+    "class A { method class; }\n  !",
+    "class A method m; }\n  !",
+], ids=["duplicate-class", "missing-semicolon", "keyword-name",
+        "missing-brace"])
+def test_bad_character_is_reported_before_an_earlier_grammar_error(source):
+    line = source.count("\n") + 1
+    assert error_of(source) == ((line, 3), "a token", "'!'")
+
+
+def _write_laid_out(model, rng, one_line):
+    """render(model) with random layout; returns the text and the offset of
+    each declared name, keyed as in OmdlDocument.spans."""
+    gaps = [" ", "\t", "  \t "] if one_line else [
+        " ", "\t", "\n", "\r\n", "\n\n\t", " // a { comment ; }\n",
+        "\r\n// x\r\n  "]
+    parts, offsets, size = [], {}, 0
+
+    def put(token, key=None):
+        nonlocal size
+        gap = rng.choice(gaps)
+        if key is not None:
+            offsets[key] = size + len(gap)
+        parts.append(gap + token)
+        size += len(gap) + len(token)
+
+    for decl in model:
+        put("class")
+        put(decl.name, ("class", decl.name))
+        if decl.parents:
+            put("extends")
+            put(", ".join(decl.parents))
+        put("{")
+        for m in decl.methods:
+            if m.visibility is Visibility.HIDDEN or rng.random() < 0.3:
+                put(m.visibility.value)
+            put("method")
+            put(m.name, ("method", decl.name, m.name))
+            if m.override_target is not None:
+                put("overrides")
+                put(".".join(m.override_target))
+            put(";")
+        for a in decl.attributes:
+            if a.visibility is Visibility.HIDDEN or rng.random() < 0.3:
+                put(a.visibility.value)
+            put("attribute")
+            put(a.name, ("attribute", decl.name, a.name))
+            put(";")
+        if decl.uses:
+            put("uses")
+            put(", ".join(decl.uses))
+            put(";")
+        put("}")
+    return "".join(parts) + rng.choice(gaps), offsets
+
+
+@pytest.mark.parametrize("one_line", [False, True])
+def test_spans_match_offsets_under_random_layout(one_line):
+    rng = random.Random(9090 + one_line)
+    for _ in range(150):
+        model = make_model(rng)
+        text, offsets = _write_laid_out(model, rng, one_line)
+        doc = parse(text)
+        assert doc.model == model
+        assert doc.spans == {
+            key: (text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
+            for key, off in offsets.items()}
 
 
 @pytest.mark.parametrize("one_line", [False, True])

@@ -131,7 +131,7 @@ def test_degenerate_constant_response():
         fit(data, ModelSpec(response="y", predictors=("x",)))
 
 
-@pytest.mark.parametrize("power", [-30, -300])
+@pytest.mark.parametrize("power", [-30, -300, -560, -1000])
 def test_small_response_fits_like_the_unscaled_one(power):
     # Scaling y by a power of two is exact, so r², t and p are bit for bit
     # those of the unscaled fit; no absolute floor may call y constant.
