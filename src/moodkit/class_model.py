@@ -42,8 +42,12 @@ def _type_error(decl, field_name: str, value, kind: type) -> TypeError:
                      f"holds {value!r}, not a {kind.__name__}")
 
 
+# Sets a field of a frozen declaration as the generated __init__ does.
+# Writing to __dict__ instead would give each instance its own dict.
+_set = object.__setattr__
+
+
 def _check_member(decl) -> None:
-    # Plain isinstance tests, no loop: this runs for every parsed member.
     if not isinstance(decl.name, str):
         raise _type_error(decl, "name", decl.name, str)
     if not isinstance(decl.visibility, Visibility):
@@ -80,6 +84,17 @@ class MethodDecl:
                 if not isinstance(part, str):
                     raise _type_error(self, "override_target", part, str)
 
+    @classmethod
+    def _parsed(cls, name: str, visibility: Visibility,
+                target: Optional[tuple[str, str]]) -> MethodDecl:
+        """Unchecked, for parse, whose fields have the types checked above."""
+        decl = cls.__new__(cls)
+        _set(decl, "name", name)
+        _set(decl, "visibility", visibility)
+        _set(decl, "kind", MethodKind.NEW if target is None else MethodKind.OVERRIDE)
+        _set(decl, "override_target", target)
+        return decl
+
 
 @dataclass(frozen=True)
 class AttributeDecl:
@@ -88,6 +103,14 @@ class AttributeDecl:
 
     def __post_init__(self):
         _check_member(self)
+
+    @classmethod
+    def _parsed(cls, name: str, visibility: Visibility) -> AttributeDecl:
+        """Unchecked, as MethodDecl._parsed."""
+        decl = cls.__new__(cls)
+        _set(decl, "name", name)
+        _set(decl, "visibility", visibility)
+        return decl
 
 
 @dataclass(frozen=True)
@@ -112,6 +135,14 @@ class ClassDecl:
                 if not isinstance(value, kind):
                     raise _type_error(self, field_name, value, kind)
             object.__setattr__(self, field_name, values)
+
+    @classmethod
+    def _parsed(cls, *fields) -> ClassDecl:
+        """Unchecked, as MethodDecl._parsed: the fields in order, as tuples."""
+        decl = cls.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            _set(decl, name, value)
+        return decl
 
     def method_names(self) -> set[str]:
         return {m.name for m in self.methods}
@@ -139,6 +170,14 @@ class ClassModel:
                 raise ValueError(f"duplicate class name: {decl.name!r}")
         self._position = position
         self._index: Optional[_InheritanceIndex] = None
+
+    @classmethod
+    def _parsed(cls, classes: tuple[ClassDecl, ...],
+                position: dict[str, int]) -> ClassModel:
+        """Unchecked: ``position`` maps each distinct class name to its index."""
+        model = cls.__new__(cls)
+        model._classes, model._position, model._index = classes, position, None
+        return model
 
     @property
     def classes(self) -> tuple[ClassDecl, ...]:

@@ -138,8 +138,17 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
 
     Line numbers in errors are 1-based over the input lines.  A header-only
     input yields a valid 0-row dataset; a blank header line is an error.
+    Text the CSV reader rejects, such as a bare carriage return inside an
+    unquoted field or a field over its size limit, is a MalformedRowError.
     """
     reader = csv.reader(source)
+    try:
+        return _read_records(reader, provenance)
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, f"unreadable CSV: {exc}") from None
+
+
+def _read_records(reader, provenance: str) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:
@@ -185,9 +194,15 @@ def _render_value(v: float) -> str:
 
 def csv_lines(rows: Iterable[Iterable]) -> str:
     """rows as CSV text, each line ending in "\\n".  Only a field that needs
-    it, such as a name with a comma, a quote or a line break, is quoted."""
+    it, such as a name with a comma, a quote or a line break, is quoted.
+    csv.writer leaves a carriage return unquoted, so a row holding a field
+    with one is quoted in full."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    minimal = csv.writer(buf, lineterminator="\n")
+    full = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in map(tuple, rows):
+        cr = any(isinstance(v, str) and "\r" in v for v in row)
+        (full if cr else minimal).writerow(row)
     return buf.getvalue()
 
 

@@ -14,7 +14,9 @@ Grammar (EBNF):
 Identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``; ``//`` starts a comment
 running to end of line; input is UTF-8.  Omitted visibility means visible.
 
-The parser pulls tokens from the scanner one at a time and stores none.  A
+The parser reads each class header, member and uses line with one match
+of a compiled pattern.  Where none matches (a "}", the end of input or an
+error), the scanner reads on one token at a time and reports the error.  A
 character that can start no token is reported ahead of any grammar error,
 wherever it stands in the input.
 """
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .class_model import (
-    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, Visibility,
+    AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility,
 )
 from .errors import MoodkitError
 
@@ -34,16 +36,35 @@ KEYWORDS = frozenset(
     {"class", "extends", "method", "attribute", "uses", "overrides",
      "visible", "hidden"})
 
-# One match per token, with the whitespace and comments before it.  Group 1
-# is the token, "" at end of input, or None when group 2 holds a character
-# that cannot start a token.  The skip never needs backtracking: after it,
-# one of the alternatives always matches.
-_SCAN = re.compile(
-    r"""(?:[ \t\r\n]+|//[^\n]*)*
-        (?: ([A-Za-z_][A-Za-z0-9_]*|[{};,.]|\Z) | (.) )""",
-    re.VERBOSE | re.DOTALL,
-)
+# Whitespace and // comments before a token.  A comment must run to the
+# end of its line, so no match reads a token inside one.  Backtracking into
+# the skip leaves whitespace or "/" next, where no token starts, so it fails
+# at once.  The empty alternative keeps the usual case, no comment, to one
+# test of "/".
+_COMMENT = r"//[^\n]*(?![^\n])[ \t\r\n]*"
+_SKIP = rf"[ \t\r\n]*(?:{_COMMENT}(?:{_COMMENT})*|)"
+# One match per token, with the skip before it.  Group 1 is the token, ""
+# at end of input, or None when group 2 holds a character that cannot
+# start a token.  After the skip, one of the alternatives always matches.
+_SCAN = re.compile(_SKIP + r"(?:([A-Za-z_][A-Za-z0-9_]*|[{};,.]|\Z)|(.))",
+                   re.DOTALL)
 _NOT_IDENT = KEYWORDS | set("{};,.") | {"", None}
+
+# Whole declarations, for parse.  A word ends where no ASCII letter, digit
+# or "_" follows, as in the scanner, so "methods" is an identifier.
+_END = r"(?![A-Za-z0-9_])"
+_IDENT = rf"(?!(?:{'|'.join(sorted(KEYWORDS))}){_END})[A-Za-z_][A-Za-z0-9_]*{_END}"
+_LIST = rf"{_IDENT}(?:{_SKIP},{_SKIP}{_IDENT})*"
+_HEADER = (rf"{_SKIP}class{_END}{_SKIP}({_IDENT})"
+           rf"(?:{_SKIP}extends{_END}{_SKIP}({_LIST}))?{_SKIP}{{")
+_MEMBER = (rf"{_SKIP}(?:(visible|hidden){_END}{_SKIP})?"
+           rf"(?:method{_END}{_SKIP}({_IDENT})(?:{_SKIP}overrides{_END}{_SKIP}"
+           rf"({_IDENT}){_SKIP}\.{_SKIP}({_IDENT}))?"
+           rf"|attribute{_END}{_SKIP}({_IDENT})){_SKIP};")
+_USES = rf"{_SKIP}uses{_END}{_SKIP}({_LIST}){_SKIP};"
+_COMMA = rf"{_SKIP},{_SKIP}"
+_VISIBILITY = {None: Visibility.VISIBLE, "visible": Visibility.VISIBLE,
+               "hidden": Visibility.HIDDEN}
 
 
 class ParseError(MoodkitError):
@@ -86,10 +107,10 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             col = exc.start - prefix.rfind(b"\n")
             raise ParseError((line, col), "valid UTF-8",
                              f"byte 0x{source[exc.start]:02x}") from None
-    # Recursive descent straight over the matches of _SCAN.  A match whose
-    # token is "" (end of input) or None (a character that cannot start a
-    # token) passes no check below, so no match after it is pulled.
-    scan = _SCAN.finditer(source)
+    # Compiled on the first parse, and kept in re's cache, not on import:
+    # every CLI subcommand imports this module.
+    header, member, uses_decl, comma = map(
+        re.compile, (_HEADER, _MEMBER, _USES, _COMMA))
     line, line_start, seen = 1, 0, 0
 
     def where(offset: int) -> tuple[int, int]:
@@ -117,84 +138,83 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
         raise ParseError(where(m.start(1)), expected,
                          repr(text) if text else "end of input")
 
-    def ident(m: re.Match) -> str:
-        name = m[1]
-        if name in _NOT_IDENT:
+    def ident(m: re.Match) -> None:
+        if m[1] in _NOT_IDENT:
             fail(m, "identifier")
-        return name
 
-    def ident_list(names: list) -> re.Match:
-        """Append IDENT { "," IDENT } to names; return the match after it."""
-        names.append(ident(next(scan)))
-        m = next(scan)
-        while m[1] == ",":
-            names.append(ident(next(scan)))
-            m = next(scan)
+    def ident_list() -> re.Match:
+        """Check IDENT { "," IDENT }; return the match after it."""
+        ident(next(scan))
+        while (m := next(scan))[1] == ",":
+            ident(next(scan))
         return m
 
+    # Each class header, member and uses line is one match of its pattern.
+    # Where none matches, the scanner reads on from there token by token,
+    # and finds "}", the end of input, or the first error: the check that
+    # comes last cannot pass there, or the pattern would have matched.
     classes: list[ClassDecl] = []
+    position: dict[str, int] = {}
     spans: dict = {}
-    m = next(scan)
-    while (word := m[1]) != "":
-        if word != "class":
-            fail(m, "'class'")
-        m = next(scan)
-        cls = ident(m)
-        if ("class", cls) in spans:
-            fail(m, "a class name not declared before")
-        spans[("class", cls)] = where(m.start(1))
-        parents: list[str] = []
-        m = next(scan)
-        if m[1] == "extends":
-            m = ident_list(parents)
-        if m[1] != "{":
+    pos = 0
+    while True:
+        h = header.match(source, pos)
+        if h is None or h[1] in position:
+            scan = _SCAN.finditer(source, pos)
+            if (m := next(scan))[1] == "":
+                break
+            if m[1] != "class":
+                fail(m, "'class'")
+            ident(m := next(scan))
+            if m[1] in position:
+                fail(m, "a class name not declared before")
+            if (m := next(scan))[1] == "extends":
+                m = ident_list()
             fail(m, "'{'")
-        methods: list[MethodDecl] = []
-        attributes: list[AttributeDecl] = []
-        uses: list[str] = []
-        m = next(scan)
-        while (word := m[1]) != "}":
-            visibility = Visibility.VISIBLE
-            if word == "visible" or word == "hidden":
-                visibility = Visibility(word)
-                m = next(scan)
-                word = m[1]
-                if word != "method" and word != "attribute":
-                    fail(m, "'method' or 'attribute'")
-            if word == "method":
-                m = next(scan)
-                name = ident(m)
-                spans[("method", cls, name)] = where(m.start(1))
-                target: Optional[tuple[str, str]] = None
-                m = next(scan)
-                if m[1] == "overrides":
-                    target_cls = ident(next(scan))
-                    m = next(scan)
-                    if m[1] != ".":
-                        fail(m, "'.'")
-                    target = (target_cls, ident(next(scan)))
-                    m = next(scan)
-                methods.append(MethodDecl(
-                    name=name, visibility=visibility, override_target=target,
-                    kind=MethodKind.NEW if target is None else MethodKind.OVERRIDE))
-            elif word == "attribute":
-                m = next(scan)
-                name = ident(m)
-                spans[("attribute", cls, name)] = where(m.start(1))
-                attributes.append(AttributeDecl(name=name, visibility=visibility))
-                m = next(scan)
-            elif word == "uses":
-                m = ident_list(uses)
+        cls = h[1]
+        position[cls] = len(classes)
+        spans[("class", cls)] = where(h.start(1))
+        methods, attributes, uses = [], [], []
+        pos = h.end()
+        while True:
+            if m := member.match(source, pos):
+                word, name, target_cls, target, attribute = m.groups()
+                if name:
+                    spans[("method", cls, name)] = where(m.start(2))
+                    methods.append(MethodDecl._parsed(
+                        name, _VISIBILITY[word], target_cls and (target_cls, target)))
+                else:
+                    spans[("attribute", cls, attribute)] = where(m.start(5))
+                    attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
+            elif m := uses_decl.match(source, pos):
+                uses += comma.split(m[1])
             else:
-                fail(m, "'method', 'attribute', 'uses', or '}'")
-            if m[1] != ";":
+                scan = _SCAN.finditer(source, pos)
+                if (word := (m := next(scan))[1]) == "}":
+                    pos = m.end()
+                    break
+                if word == "visible" or word == "hidden":
+                    if (word := (m := next(scan))[1]) not in ("method", "attribute"):
+                        fail(m, "'method' or 'attribute'")
+                if word == "method" or word == "attribute":
+                    ident(next(scan))
+                    if (m := next(scan))[1] == "overrides" and word == "method":
+                        ident(next(scan))
+                        if (m := next(scan))[1] != ".":
+                            fail(m, "'.'")
+                        ident(next(scan))
+                        m = next(scan)
+                elif word == "uses":
+                    m = ident_list()
+                else:
+                    fail(m, "'method', 'attribute', 'uses', or '}'")
                 fail(m, "';'")
-            m = next(scan)
-        classes.append(ClassDecl(
-            name=cls, parents=tuple(parents), methods=tuple(methods),
-            attributes=tuple(attributes), uses=tuple(uses)))
-        m = next(scan)
-    return OmdlDocument(model=ClassModel(classes), spans=spans)
+            pos = m.end()
+        classes.append(ClassDecl._parsed(
+            cls, () if h[2] is None else tuple(comma.split(h[2])),
+            tuple(methods), tuple(attributes), tuple(uses)))
+    return OmdlDocument(model=ClassModel._parsed(tuple(classes), position),
+                        spans=spans)
 
 
 def _identifier(name: str) -> str:

@@ -205,6 +205,14 @@ def test_fit_malformed_csv_is_parse_error(tmp_path, capsys):
     assert "MALFORMED_ROW" in err
 
 
+def test_fit_csv_with_an_oversized_field_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("a,b\n1,2\n2," + "9" * 200_000 + "\n")
+    code, _, err = run(capsys, "fit", str(path), "--response", "b")
+    assert code == 2
+    assert "MALFORMED_ROW" in err and "line 3" in err
+
+
 def test_fit_non_numeric_csv_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1,apple\n")

@@ -72,6 +72,17 @@ def test_read_csv_field_count_mismatch():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text, line", [
+    ("f\rg,b\n1,2\n", 1),
+    ("a,b\n1,2\n3,x\ry\n", 3),
+    ("a,b\n1," + "9" * 200_000 + "\n", 2),
+], ids=["cr-in-header", "cr-in-row", "oversized-field"])
+def test_read_csv_text_the_csv_reader_rejects_is_malformed(text, line):
+    with pytest.raises(MalformedRowError) as exc:
+        read_csv(io.StringIO(text))
+    assert exc.value.line == line
+
+
 def test_read_csv_rejects_duplicate_and_aliased_headers():
     for header in ("a,a,y", "NOL,NOC,LOC"):
         with pytest.raises(MalformedRowError) as exc:
@@ -146,6 +157,15 @@ def test_write_csv_round_trips_names_that_need_quoting(names):
     again = read_csv(io.StringIO(buf.getvalue()))
     assert again.columns == data.columns
     assert again.rows == data.rows
+
+
+def test_write_csv_round_trips_a_name_with_a_carriage_return():
+    data = Dataset(columns=("x\ry", "b"), rows=((1.0, 2.5),))
+    buf = io.StringIO()
+    write_csv(data, buf)
+    assert buf.getvalue() == '"x\ry","b"\n1,2.5\n'
+    again = read_csv(io.StringIO(buf.getvalue()))
+    assert again.columns == data.columns and again.rows == data.rows
 
 
 def test_scatter_linear():

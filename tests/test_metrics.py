@@ -13,7 +13,7 @@ from moodkit import (
 
 from tests.modelgen import make_model, rename_model
 from tests.oracles import metric_oracle
-from tests.timing import best_ratio
+from tests.timing import median_ratio
 
 H = Visibility.HIDDEN
 V = Visibility.VISIBLE
@@ -338,4 +338,4 @@ def test_chain_cost_grows_linearly(child_first):
         compute_all(model)
         return time.perf_counter() - start
 
-    assert best_ratio(timed, 4000, 2000) < 3
+    assert median_ratio(timed, 4000, 2000) < 3

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import time
@@ -9,6 +10,7 @@ from moodkit import (
     Visibility, parse, render, validate,
 )
 
+from tests import omdl_golden
 from tests.modelgen import make_model
 from tests.timing import best_ratio
 
@@ -341,3 +343,161 @@ def test_parse_cost_grows_linearly(one_line):
         return time.perf_counter() - start
 
     assert best_ratio(timed, source(4000), source(2000)) < 3
+
+
+def test_parse_matches_the_golden():
+    # Outcomes recorded from a trusted parser (tests/omdl_golden.py says how).
+    golden = json.loads(omdl_golden.GOLDEN.read_text(encoding="utf-8"))
+    sources = omdl_golden.inputs(golden["seed"])
+    assert omdl_golden.digest(sources) == golden["inputs"], "inputs changed"
+    assert len(sources) == len(golden["outcomes"]) >= 2000
+    mismatched = [(i, source) for i, (source, want)
+                  in enumerate(zip(sources, golden["outcomes"]))
+                  if omdl_golden.outcome(source) != want]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("name", [
+    "methods", "classy", "usesX", "hidden_1", "visible2", "overrides_",
+    "extendsA", "attributes"])
+def test_keyword_prefixed_names_are_identifiers(name):
+    source = (f"class {name} {{ hidden method {name}; attribute {name}; }}\n"
+              f"class B extends {name}, classA {{\n"
+              f"  method {name} overrides {name}.{name}; uses {name}; }}\n"
+              "class classA { }")
+    model = parse(source).model
+    assert model == ClassModel([
+        ClassDecl(name, methods=(MethodDecl(name, Visibility.HIDDEN),),
+                  attributes=(AttributeDecl(name),)),
+        ClassDecl("B", parents=(name, "classA"), uses=(name,), methods=(
+            MethodDecl(name, kind=MethodKind.OVERRIDE,
+                       override_target=(name, name)),)),
+        ClassDecl("classA")])
+
+
+@pytest.mark.parametrize("source, expected, found", [
+    ("class Aextends B { }", "'{'", "'B'"),
+    ("class A { method moverrides B.m; }", "';'", "'B'"),
+    ("class A { hiddenmethod m; }", "'method', 'attribute', 'uses', or '}'",
+     "'hiddenmethod'"),
+    ("class A { usesB; }", "'method', 'attribute', 'uses', or '}'", "'usesB'"),
+    ("class A { method m overrides B.mclass }", "';'", "'}'"),
+])
+def test_keyword_glued_to_a_name_is_one_identifier(source, expected, found):
+    assert error_of(source)[1:] == (expected, found)
+
+
+@pytest.mark.parametrize("char", ["é", "$", "/"])
+@pytest.mark.parametrize("source, after", [
+    ("class A { }", "class"),
+    ("class A { hidden method m; }", "hidden"),
+    ("class A { method m; }", "method"),
+    ("class A { uses A; }", "uses"),
+    ("class A { }", "class A"),
+    ("class A extends B { }", "extends B"),
+    ("class A { method m overrides B.m; }", "overrides B"),
+    ("class A { attribute x; }", "attribute x"),
+    ("class A { method m overrides B.m; }", "B."),
+    ("class A extends B, C { }", "B,"),
+    ("class A { uses B, C; }", "B,"),
+    ("class A { uses B, C; }", "C"),
+], ids=lambda v: v if " " not in v else None)
+def test_character_after_a_token_that_starts_none(source, after, char):
+    at = source.index(after) + len(after)
+    assert error_of(source[:at] + char + source[at:]) == (
+        (1, at + 1), "a token", repr(char))
+
+
+def test_comment_and_crlf_between_every_pair_of_tokens():
+    # Each comment holds text that would parse if read as tokens.  Token k
+    # of the rendered text starts line k + 1.
+    rng = random.Random(1111)
+    for _ in range(50):
+        model = make_model(rng)
+        canon = render(model)
+        tokens = list(re.finditer(r"\w+|[{};,.]", canon))
+        token_at = {m.start(): k for k, m in enumerate(tokens)}
+        line_starts = [0] + [m.end() for m in re.finditer("\n", canon)]
+        doc = parse("".join(m[0] + " // , X . y ; } {\r\n" for m in tokens))
+        assert doc.model == model
+        assert list(doc.spans.items()) == [
+            (key, (token_at[line_starts[line - 1] + col - 1] + 1, 1))
+            for key, (line, col) in parse(canon).spans.items()]
+
+
+@pytest.mark.parametrize("source", [
+    "class A { method m overrides B . m ; }",
+    "class A{method m overrides B .m;}",
+    "class A {\n method\tm\toverrides\tB\r\n.\r\nm\n;\n}",
+    "class A { method m overrides B // b\n . // .\n m // m\n ; }",
+])
+def test_spaced_override_target(source):
+    assert parse(source).model == ClassModel([ClassDecl("A", methods=(
+        MethodDecl("m", kind=MethodKind.OVERRIDE, override_target=("B", "m")),))])
+
+
+@pytest.mark.parametrize("body", ["{}", "{ }", "{\n}", "{ // x\n}", "\n{\r\n}"])
+def test_empty_class_body(body):
+    doc = parse(f"class A {body} class B extends A{body}")
+    assert doc.model == ClassModel([ClassDecl("A"), ClassDecl("B", ("A",))])
+    assert doc.spans == {("class", "A"): (1, 7),
+                         ("class", "B"): doc.spans[("class", "B")]}
+
+
+@pytest.mark.parametrize("source", [
+    "class A extends { }",
+    "class A extends B C { }",
+    "class A B { }",
+    "class A { method ; }",
+    "class A { hidden uses B; }",
+    "class A { attribute x y; }",
+    "class A { method m overrides B m; }",
+    "class A { method m overrides B.; }",
+    "class A { method m overrides ; }",
+    "class A { uses ; }",
+    "class A { uses A B; }",
+    "class A { uses A, ; }",
+    "class A { } class A { }",
+    "class A { method m; }}",
+], ids=["header-extends", "header-list", "header-brace", "member-name",
+        "member-visibility", "member-semicolon", "override-dot",
+        "override-method", "override-class", "uses-empty", "uses-comma",
+        "uses-trailing", "header-duplicate", "document"])
+def test_bad_character_after_a_grammar_error_in_each_construct(source):
+    assert error_of(source + "\n// $\n  ok $") == ((3, 6), "a token", "'$'")
+
+
+def test_spans_is_a_plain_dict_and_declarations_match_public_ones():
+    doc = parse("class A { hidden method m; attribute x; }\n"
+                "class B extends A { method m overrides A.m; uses A; }")
+    assert type(doc.spans) is dict
+    built = ClassModel([
+        ClassDecl("A", methods=(MethodDecl("m", Visibility.HIDDEN),),
+                  attributes=(AttributeDecl("x"),)),
+        ClassDecl("B", parents=["A"], uses=["A"], methods=[MethodDecl(
+            "m", kind=MethodKind.OVERRIDE, override_target=("A", "m"))])])
+    for parsed, public in zip(doc.model, built):
+        assert parsed == public and hash(parsed) == hash(public)
+        assert repr(parsed) == repr(public)
+        for mine, theirs in zip(parsed.methods + parsed.attributes,
+                                public.methods + public.attributes):
+            assert mine == theirs and hash(mine) == hash(theirs)
+    assert doc.model == built and hash(doc.model) == hash(built)
+    assert list(doc.spans) == [("class", "A"), ("method", "A", "m"),
+                               ("attribute", "A", "x"), ("class", "B"),
+                               ("method", "B", "m")]
+
+
+@pytest.mark.parametrize("gap", [" ", "// c\n"])
+def test_parse_cost_grows_linearly_in_a_long_gap(gap):
+    # A pattern whose skip of whitespace and comments backtracked over
+    # every way of splitting a gap would blow up here.
+    def timed(n):
+        text = "class A {" + gap * n + "method m;" + gap * n + "}" + gap * n
+        start = time.perf_counter()
+        parse(text)
+        with pytest.raises(ParseError):
+            parse(text + "class")
+        return time.perf_counter() - start
+
+    assert best_ratio(timed, 40_000, 20_000) < 3
