@@ -16,13 +16,13 @@ from .dataset import (
 from .errors import (
     DegenerateModelError, DomainError, InsufficientDataError,
     InvalidModelError, MalformedRowError, MissingPredictorError,
-    MoodkitError, NonNumericError, NonPositiveValueError, RankDeficientError,
-    UnknownClassError, UnknownColumnError,
+    MoodkitError, NonNumericError, NonPositiveValueError, ParseError,
+    RankDeficientError, UnknownClassError, UnknownColumnError,
 )
 from .metrics import (
     MetricValue, MoodReport, ahf, aif, cf, compute_all, mhf, mif, pf,
 )
-from .omdl import OmdlDocument, ParseError, parse, render
+from .omdl import OmdlDocument, parse, render
 from .regression import (
     AnovaTable, CoefficientEstimate, FitResult, ModelSpec, anova, fit,
     fit_all_interchange, log_transform, predict,

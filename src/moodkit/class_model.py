@@ -171,14 +171,6 @@ class ClassModel:
         self._position = position
         self._index: Optional[_InheritanceIndex] = None
 
-    @classmethod
-    def _parsed(cls, classes: tuple[ClassDecl, ...],
-                position: dict[str, int]) -> ClassModel:
-        """Unchecked: ``position`` maps each distinct class name to its index."""
-        model = cls.__new__(cls)
-        model._classes, model._position, model._index = classes, position, None
-        return model
-
     @property
     def classes(self) -> tuple[ClassDecl, ...]:
         return self._classes

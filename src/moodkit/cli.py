@@ -26,8 +26,8 @@ from .dataset import (
 )
 from .errors import (
     InvalidModelError, MalformedRowError, MoodkitError, NonNumericError,
+    ParseError,
 )
-from .omdl import ParseError
 from .regression import FitResult, ModelSpec
 
 FORMATS = ("table", "json", "csv")

@@ -38,6 +38,19 @@ class InvalidModelError(MoodkitError):
             f"diagnostic(s)); first: {first.code}: {first.message}")
 
 
+class ParseError(MoodkitError):
+    """Raised at the first offending token; carries position and expectation."""
+
+    code = "PARSE"
+
+    def __init__(self, position: tuple[int, int], expected: str, found: str):
+        self.position = position
+        self.expected = expected
+        self.found = found
+        line, col = position
+        super().__init__(f"{line}:{col}: expected {expected}, found {found}")
+
+
 class DomainError(MoodkitError):
     """Argument outside a numeric function's domain."""
 

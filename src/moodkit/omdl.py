@@ -14,11 +14,11 @@ Grammar (EBNF):
 Identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``; ``//`` starts a comment
 running to end of line; input is UTF-8.  Omitted visibility means visible.
 
-The parser reads each class header, member and uses line with one match
-of a compiled pattern.  Where none matches (a "}", the end of input or an
-error), the scanner reads on one token at a time and reports the error.  A
-character that can start no token is reported ahead of any grammar error,
-wherever it stands in the input.
+The parser reads each class header, member, uses line and closing "}",
+and the end of input, with one match of a compiled pattern.  Only an error
+reaches the scanner, which reads on from there one token at a time and
+reports it.  A character that can start no token is reported ahead of any
+grammar error, wherever it stands in the input.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Union
 from .class_model import (
     AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility,
 )
-from .errors import MoodkitError
+from .errors import ParseError
 
 KEYWORDS = frozenset(
     {"class", "extends", "method", "attribute", "uses", "overrides",
@@ -50,34 +50,22 @@ _SCAN = re.compile(_SKIP + r"(?:([A-Za-z_][A-Za-z0-9_]*|[{};,.]|\Z)|(.))",
                    re.DOTALL)
 _NOT_IDENT = KEYWORDS | set("{};,.") | {"", None}
 
-# Whole declarations, for parse.  A word ends where no ASCII letter, digit
+# Whole declarations, for parse: a header or the end of input; a member, a
+# uses line or the closing "}".  A word ends where no ASCII letter, digit
 # or "_" follows, as in the scanner, so "methods" is an identifier.
 _END = r"(?![A-Za-z0-9_])"
 _IDENT = rf"(?!(?:{'|'.join(sorted(KEYWORDS))}){_END})[A-Za-z_][A-Za-z0-9_]*{_END}"
 _LIST = rf"{_IDENT}(?:{_SKIP},{_SKIP}{_IDENT})*"
-_HEADER = (rf"{_SKIP}class{_END}{_SKIP}({_IDENT})"
-           rf"(?:{_SKIP}extends{_END}{_SKIP}({_LIST}))?{_SKIP}{{")
-_MEMBER = (rf"{_SKIP}(?:(visible|hidden){_END}{_SKIP})?"
+_HEADER = (rf"{_SKIP}(?:class{_END}{_SKIP}({_IDENT})"
+           rf"(?:{_SKIP}extends{_END}{_SKIP}({_LIST}))?{_SKIP}{{|\Z)")
+_MEMBER = (rf"{_SKIP}(?:(?:(?:(visible|hidden){_END}{_SKIP})?"
            rf"(?:method{_END}{_SKIP}({_IDENT})(?:{_SKIP}overrides{_END}{_SKIP}"
            rf"({_IDENT}){_SKIP}\.{_SKIP}({_IDENT}))?"
-           rf"|attribute{_END}{_SKIP}({_IDENT})){_SKIP};")
-_USES = rf"{_SKIP}uses{_END}{_SKIP}({_LIST}){_SKIP};"
+           rf"|attribute{_END}{_SKIP}({_IDENT}))"
+           rf"|uses{_END}{_SKIP}({_LIST})){_SKIP};|}})")
 _COMMA = rf"{_SKIP},{_SKIP}"
 _VISIBILITY = {None: Visibility.VISIBLE, "visible": Visibility.VISIBLE,
                "hidden": Visibility.HIDDEN}
-
-
-class ParseError(MoodkitError):
-    """Raised at the first offending token; carries position and expectation."""
-
-    code = "PARSE"
-
-    def __init__(self, position: tuple[int, int], expected: str, found: str):
-        self.position = position
-        self.expected = expected
-        self.found = found
-        line, col = position
-        super().__init__(f"{line}:{col}: expected {expected}, found {found}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +97,7 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
                              f"byte 0x{source[exc.start]:02x}") from None
     # Compiled on the first parse, and kept in re's cache, not on import:
     # every CLI subcommand imports this module.
-    header, member, uses_decl, comma = map(
-        re.compile, (_HEADER, _MEMBER, _USES, _COMMA))
+    header, member, comma = map(re.compile, (_HEADER, _MEMBER, _COMMA))
     line, line_start, seen = 1, 0, 0
 
     def where(offset: int) -> tuple[int, int]:
@@ -149,10 +136,10 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             ident(next(scan))
         return m
 
-    # Each class header, member and uses line is one match of its pattern.
-    # Where none matches, the scanner reads on from there token by token,
-    # and finds "}", the end of input, or the first error: the check that
-    # comes last cannot pass there, or the pattern would have matched.
+    # Each class header, member, uses line and "}", and the end of input,
+    # is one match of its pattern.  Where none matches, the scanner reads on
+    # from there token by token to the error: the check that comes last
+    # cannot pass there, or the pattern would have matched.
     classes: list[ClassDecl] = []
     position: dict[str, int] = {}
     spans: dict = {}
@@ -161,9 +148,7 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
         h = header.match(source, pos)
         if h is None or h[1] in position:
             scan = _SCAN.finditer(source, pos)
-            if (m := next(scan))[1] == "":
-                break
-            if m[1] != "class":
+            if (m := next(scan))[1] != "class":
                 fail(m, "'class'")
             ident(m := next(scan))
             if m[1] in position:
@@ -172,49 +157,47 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
                 m = ident_list()
             fail(m, "'{'")
         cls = h[1]
+        if cls is None:
+            return OmdlDocument(model=ClassModel(classes), spans=spans)
         position[cls] = len(classes)
         spans[("class", cls)] = where(h.start(1))
         methods, attributes, uses = [], [], []
         pos = h.end()
-        while True:
-            if m := member.match(source, pos):
-                word, name, target_cls, target, attribute = m.groups()
-                if name:
-                    spans[("method", cls, name)] = where(m.start(2))
-                    methods.append(MethodDecl._parsed(
-                        name, _VISIBILITY[word], target_cls and (target_cls, target)))
-                else:
-                    spans[("attribute", cls, attribute)] = where(m.start(5))
-                    attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
-            elif m := uses_decl.match(source, pos):
-                uses += comma.split(m[1])
-            else:
-                scan = _SCAN.finditer(source, pos)
-                if (word := (m := next(scan))[1]) == "}":
-                    pos = m.end()
-                    break
-                if word == "visible" or word == "hidden":
-                    if (word := (m := next(scan))[1]) not in ("method", "attribute"):
-                        fail(m, "'method' or 'attribute'")
-                if word == "method" or word == "attribute":
-                    ident(next(scan))
-                    if (m := next(scan))[1] == "overrides" and word == "method":
-                        ident(next(scan))
-                        if (m := next(scan))[1] != ".":
-                            fail(m, "'.'")
-                        ident(next(scan))
-                        m = next(scan)
-                elif word == "uses":
-                    m = ident_list()
-                else:
-                    fail(m, "'method', 'attribute', 'uses', or '}'")
-                fail(m, "';'")
+        while m := member.match(source, pos):
             pos = m.end()
+            word, name, target_cls, target, attribute, used = m.groups()
+            if name:
+                spans[("method", cls, name)] = where(m.start(2))
+                methods.append(MethodDecl._parsed(
+                    name, _VISIBILITY[word], target_cls and (target_cls, target)))
+            elif attribute:
+                spans[("attribute", cls, attribute)] = where(m.start(5))
+                attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
+            elif used:
+                uses += comma.split(used)
+            else:
+                break
+        else:
+            scan = _SCAN.finditer(source, pos)
+            if (word := (m := next(scan))[1]) == "visible" or word == "hidden":
+                if (word := (m := next(scan))[1]) not in ("method", "attribute"):
+                    fail(m, "'method' or 'attribute'")
+            if word == "method" or word == "attribute":
+                ident(next(scan))
+                if (m := next(scan))[1] == "overrides" and word == "method":
+                    ident(next(scan))
+                    if (m := next(scan))[1] != ".":
+                        fail(m, "'.'")
+                    ident(next(scan))
+                    m = next(scan)
+            elif word == "uses":
+                m = ident_list()
+            else:
+                fail(m, "'method', 'attribute', 'uses', or '}'")
+            fail(m, "';'")
         classes.append(ClassDecl._parsed(
             cls, () if h[2] is None else tuple(comma.split(h[2])),
             tuple(methods), tuple(attributes), tuple(uses)))
-    return OmdlDocument(model=ClassModel._parsed(tuple(classes), position),
-                        spans=spans)
 
 
 def _identifier(name: str) -> str:

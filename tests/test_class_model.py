@@ -14,7 +14,7 @@ from moodkit.class_model import (
 )
 
 from tests.modelgen import make_model
-from tests.timing import best_ratio
+from tests.timing import median_ratio
 
 
 def cls(name, parents=(), methods=(), attributes=(), uses=()):
@@ -167,7 +167,7 @@ def test_parent_graph_walk_cost_grows_linearly():
         validate(model)
         return time.perf_counter() - start
 
-    assert best_ratio(timed, 16_000, 4_000) < 8
+    assert median_ratio(timed, 16_000, 4_000) < 8
 
 
 def test_duplicate_features():

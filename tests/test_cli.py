@@ -328,6 +328,18 @@ def test_extras_rejected_outside_predict(capsys):
     assert "unrecognized" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("--NOC 1 stray --NOM 1 --NOA 1", "unexpected argument 'stray'"),
+    ("--NOM 1 --NOA 1 --NOC", "--NOC is missing a value"),
+    ("--NOC 1 --NOC 2 --NOM 1 --NOA 1", "duplicate value for --NOC"),
+], ids=["stray", "trailing-flag", "repeated-flag"])
+def test_predict_value_flag_errors_are_usage_errors(capsys, flags, message):
+    code, out, err = run(capsys, "predict", "builtin:table1", "--response", "NOL",
+                         *flags.split())
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_dataset_csv_output(capsys):
     code, out, _ = run(capsys, "dataset", "builtin:table1",
                        "--format", "csv")
@@ -479,11 +491,13 @@ _FUZZ_CLASSES = ["class D extends D { }", "class E extends Nope { }",
                  "class Base { }"]
 
 
-def _fuzz_csv(rng):
-    """Random CSV bytes and the column names in their header."""
+def _fuzz_csv(rng, breaker):
+    """Random CSV bytes, the column names in their header, and whether the
+    CSV reader must reject the text.  ``breaker`` draws the text to reject,
+    so the other cases stay as ``rng`` alone draws them."""
     if rng.random() < 0.1:
         blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 40)))
-        return blob, []
+        return blob, [], False
     width = rng.randint(1, 5)
     names = _FUZZ_COLUMNS if rng.random() < 0.2 else _FUZZ_COLUMNS[:8]
     header = rng.sample(names, width)
@@ -494,7 +508,21 @@ def _fuzz_csv(rng):
         if cells and rng.random() < 0.05:
             cells[rng.randrange(len(cells))] = rng.choice(_FUZZ_CELLS)
         lines.append(",".join(cells))
-    return ("\r\n" if rng.random() < 0.2 else "\n").join(lines).encode(), header
+    # A field over the reader's limit of 131,072 characters, or a bare CR
+    # inside an unquoted line of two or more fields, which the CLI's reader
+    # takes as a line end: the line then breaks into two of wrong widths, or
+    # leaves an empty name in the header.
+    rejected = breaker.random() < 0.05
+    if rejected:
+        i = breaker.randrange(len(lines))
+        lines[i] += "9" * breaker.randint(131_073, 140_000)
+    at = [i for i, line in enumerate(lines) if "," in line and '"' not in line]
+    if not rejected and at and breaker.random() < 0.05:
+        rejected, i = True, breaker.choice(at)
+        cut = breaker.randrange(1, len(lines[i]))
+        lines[i] = lines[i][:cut] + "\r" + lines[i][cut:]
+    text = ("\r\n" if rng.random() < 0.2 else "\n").join(lines)
+    return text.encode(), header, rejected
 
 
 def _fuzz_omdl(rng):
@@ -544,15 +572,15 @@ def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
     # Any input bytes and any argv end in a documented exit code with a
     # one-line message, write only to the -o file or into --out, and every
     # SVG written is well-formed.
-    rng = random.Random(8)
+    rng, breaker = random.Random(8), random.Random(9)
     inputs, out_root = tmp_path / "in", tmp_path / "out"
     inputs.mkdir()
     monkeypatch.chdir(inputs)
     csv_path, omdl_path = str(inputs / "d.csv"), str(inputs / "m.omdl")
     out_file, out_dir = str(out_root / "result.txt"), str(out_root / "plots")
-    codes, svgs = collections.Counter(), 0
+    codes, svgs, rejections = collections.Counter(), 0, 0
     for _ in range(600):
-        blob, header = _fuzz_csv(rng)
+        blob, header, rejected = _fuzz_csv(rng, breaker)
         (inputs / "d.csv").write_bytes(blob)
         (inputs / "m.omdl").write_bytes(_fuzz_omdl(rng))
         out_root.mkdir()
@@ -566,6 +594,10 @@ def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
             pytest.fail(f"{argv!r} raised {exc!r}")
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3, 4), argv
+        if rejected and argv[0] in ("fit", "predict", "dataset", "plot") and (
+                csv_path in argv):
+            assert code == 2, argv
+            rejections += 1
         assert "Traceback" not in err, argv
         assert sorted(os.listdir(tmp_path)) == ["in", "out"]
         assert sorted(os.listdir(inputs)) == ["d.csv", "m.omdl"]
@@ -577,6 +609,7 @@ def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
                 svgs += 1
         codes[code] += 1
         shutil.rmtree(out_root)
-    # the cases reach success, each kind of failure, and the SVG writer
+    # the cases reach success, each kind of failure, the SVG writer and the
+    # CSV text the reader rejects
     assert set(codes) == {0, 1, 2, 3, 4}, codes
-    assert svgs > 0, codes
+    assert svgs > 0 and rejections > 0, (codes, svgs, rejections)

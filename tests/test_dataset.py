@@ -72,6 +72,14 @@ def test_read_csv_field_count_mismatch():
     assert exc.value.line == 3
 
 
+def test_read_csv_skips_a_blank_line_and_keeps_line_numbers():
+    data = read_csv(io.StringIO("a,b\n1,2\n\n3,4\n"))
+    assert data.rows == ((1.0, 2.0), (3.0, 4.0))
+    with pytest.raises(NonNumericError) as exc:
+        read_csv(io.StringIO("a,b\n1,2\n\nx,4\n"))
+    assert (exc.value.line, exc.value.column, exc.value.value) == (4, "a", "x")
+
+
 @pytest.mark.parametrize("text, line", [
     ("f\rg,b\n1,2\n", 1),
     ("a,b\n1,2\n3,x\ry\n", 3),

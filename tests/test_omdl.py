@@ -7,12 +7,12 @@ import pytest
 
 from moodkit import (
     AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, ParseError,
-    Visibility, parse, render, validate,
+    Visibility, errors, omdl, parse, render, validate,
 )
 
 from tests import omdl_golden
 from tests.modelgen import make_model
-from tests.timing import best_ratio
+from tests.timing import median_ratio
 
 
 def test_minimal_class():
@@ -118,6 +118,11 @@ def test_stray_token_after_visibility():
 def test_unknown_character():
     with pytest.raises(ParseError):
         parse("class A ! { }")
+
+
+def test_parse_error_is_one_class_from_errors():
+    assert ParseError is omdl.ParseError is errors.ParseError
+    assert issubclass(ParseError, errors.MoodkitError) and ParseError.code == "PARSE"
 
 
 def test_bytes_input_and_bad_utf8():
@@ -342,7 +347,7 @@ def test_parse_cost_grows_linearly(one_line):
         parse(text)
         return time.perf_counter() - start
 
-    assert best_ratio(timed, source(4000), source(2000)) < 3
+    assert median_ratio(timed, source(4000), source(2000)) < 3
 
 
 def test_parse_matches_the_golden():
@@ -500,4 +505,55 @@ def test_parse_cost_grows_linearly_in_a_long_gap(gap):
             parse(text + "class")
         return time.perf_counter() - start
 
-    assert best_ratio(timed, 40_000, 20_000) < 3
+    assert median_ratio(timed, 40_000, 20_000) < 3
+
+
+class _Scanned(Exception):
+    pass
+
+
+class _NoScanner:
+    """Stands in for omdl._SCAN: any use of the scanner raises _Scanned."""
+
+    def finditer(self, *args):
+        raise _Scanned
+
+
+def test_valid_input_never_reaches_the_scanner(monkeypatch):
+    # Each header, member, uses line and "}", and the end of input, is read
+    # by a pattern; the scanner is the error path and nothing else.
+    rng = random.Random(1212)
+    sources = [(text, parse(text).model) for text in (
+        "", "// only a comment", "class A{}class B extends A{uses A;}",
+        "class A { uses A, B; }", "class A {\r\n\tmethod m;\r\n}\r\n",
+        "class A { method m overrides B . m ; } // end",
+        "class A { } // end\n// and no final newline")]
+    for _ in range(100):
+        model = make_model(rng)
+        canon = render(model)
+        sources += [(canon, model), (canon.replace("\n", ""), model),
+                    (canon.replace("\n", "\r\n") + "// end", model)]
+        sources += [(_write_laid_out(model, rng, one_line)[0], model)
+                    for one_line in (False, True)]
+    invalid = {
+        "class A {": ((1, 10), "'method', 'attribute', 'uses', or '}'",
+                      "end of input"),
+        "class A { } }": ((1, 13), "'class'", "'}'"),
+        "class A { hidden uses B; }": ((1, 18), "'method' or 'attribute'",
+                                       "'uses'"),
+        "class A { uses B }": ((1, 18), "';'", "'}'"),
+        "class A { uses B, }": ((1, 19), "identifier", "'}'"),
+        "class A { } class A { }": ((1, 19), "a class name not declared before",
+                                    "'A'"),
+        "class A { method m; } // end\nclass": ((2, 6), "identifier",
+                                                "end of input"),
+    }
+    monkeypatch.setattr(omdl, "_SCAN", _NoScanner())
+    for text, model in sources:
+        assert parse(text).model == model, text
+    for text in invalid:
+        with pytest.raises(_Scanned):
+            parse(text)
+    monkeypatch.undo()
+    for text, error in invalid.items():
+        assert error_of(text) == error, text

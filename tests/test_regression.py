@@ -53,6 +53,22 @@ def test_exact_linear_data():
     assert result.anova.ss_residual <= 1e-12 * result.anova.ss_total
 
 
+@pytest.mark.parametrize("intercept, slope", [(1, 2), (0, 2), (0, -2)])
+def test_perfect_fit_has_infinite_statistics(intercept, slope):
+    # y = intercept + slope * x on x = 0..3 is fitted with no residual at
+    # all: F is infinite, a nonzero beta has t = +-inf and p = 0, and a
+    # zero beta has t = 0 and p = 1.
+    data = make_dataset(["x", "y"], [(x, intercept + slope * x) for x in range(4)])
+    result = fit(data, ModelSpec(response="y", predictors=("x",)))
+    assert result.anova.ss_residual == 0.0
+    assert (result.anova.f_stat, result.anova.p_value) == (math.inf, 0.0)
+    (b0, b1) = result.coefficients
+    assert (b1.beta, b1.std_error, b1.t_stat, b1.p_value) == (
+        slope, 0.0, math.copysign(math.inf, slope), 0.0)
+    assert (b0.beta, b0.std_error) == (intercept, 0.0)
+    assert (b0.t_stat, b0.p_value) == ((math.inf, 0.0) if intercept else (0.0, 1.0))
+
+
 def test_insufficient_data():
     data = make_dataset(["x", "y"], [(1, 2), (2, 3)])
     with pytest.raises(InsufficientDataError):

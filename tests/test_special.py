@@ -208,6 +208,11 @@ def test_t_domain():
         t_two_sided_p(1.0, 2.5)
 
 
+def test_t_nan_statistic_is_domain_error():
+    with pytest.raises(DomainError, match="NaN"):
+        t_two_sided_p(math.nan, 3)
+
+
 def test_f_trivial_points():
     assert f_upper_p(0.0, 3, 29) == 1.0
     assert f_upper_p(1.0, 7, 7) == pytest.approx(0.5, abs=1e-12)
