@@ -59,7 +59,9 @@ class MethodDecl:
     """A method declaration.
 
     ``override_target`` is the (ancestor class, method name) pair being
-    redefined; it is present exactly when ``kind`` is OVERRIDE.
+    redefined; it is present exactly when ``kind`` is OVERRIDE.  A field of
+    the wrong type raises TypeError; a target without an OVERRIDE kind, or
+    one that is not a pair, raises ValueError.
     """
 
     name: str
@@ -98,6 +100,8 @@ class MethodDecl:
 
 @dataclass(frozen=True)
 class AttributeDecl:
+    """An attribute declaration; a field of the wrong type raises TypeError."""
+
     name: str
     visibility: Visibility = Visibility.VISIBLE
 
@@ -115,6 +119,10 @@ class AttributeDecl:
 
 @dataclass(frozen=True)
 class ClassDecl:
+    """A class: its name, parent names, methods, attributes and the names of
+    the classes it uses.  Each sequence is stored as a tuple; an element of
+    the wrong type, or a bare str as parents or uses, raises TypeError."""
+
     name: str
     parents: tuple[str, ...] = ()
     methods: tuple[MethodDecl, ...] = ()
@@ -155,9 +163,10 @@ class ClassModel:
     """Ordered, name-keyed collection of class declarations.
 
     Immutable after construction; all derived queries are read-only, so a
-    model can be shared freely across threads.  The inheritance index is
-    built on the first query that needs it; two threads racing to build it
-    build equal indexes, and either may be kept.
+    model can be shared freely across threads.  An element that is not a
+    ClassDecl raises TypeError, and a repeated class name ValueError.  The
+    inheritance index is built on the first query that needs it; two
+    threads racing to build it build equal indexes, and either may be kept.
     """
 
     def __init__(self, classes: Iterable[ClassDecl]):

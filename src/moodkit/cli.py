@@ -31,7 +31,7 @@ from .errors import (
 from .regression import FitResult, ModelSpec
 
 FORMATS = ("table", "json", "csv")
-BUILTIN_SOURCES = {"builtin:table1": builtin_table1}
+_RATIOS = ("mhf", "ahf", "mif", "aif", "pf", "cf")
 
 
 class _UsageError(Exception):
@@ -92,12 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_source(token: str) -> Dataset:
     if token.startswith("builtin:"):
-        loader = BUILTIN_SOURCES.get(token)
-        if loader is None:
-            raise _UsageError(
-                f"unknown builtin dataset {token!r}; available: "
-                + ", ".join(sorted(BUILTIN_SOURCES)))
-        return loader()
+        if token != "builtin:table1":
+            raise _UsageError(f"unknown builtin dataset {token!r}; "
+                              "available: builtin:table1")
+        return builtin_table1()
     with open(token, "rb") as fh:
         raw = fh.read()
     try:
@@ -112,11 +110,27 @@ def _load_source(token: str) -> Dataset:
 def _emit(text: str, output: Optional[str]):
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _finite(value):
+    """value with each non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json(payload) -> str:
+    """payload as RFC 8259 JSON, indented by 2, ending in a newline.  A
+    non-finite float, such as the t of a perfect fit, is written as null,
+    as the value of an undefined metric is."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 # Display rounding mirrors conventional statistics-package output: estimates
@@ -127,39 +141,21 @@ def _fmt3(v: float) -> str:
 
 
 def _fmt_ss(v: float) -> str:
-    if v != v or v in (math.inf, -math.inf):
-        return str(v)
     if abs(v) >= 1e7:
         return f"{v:.4E}"
     return f"{v:.3f}"
 
 
 def _metrics_table(report: metrics_mod.MoodReport) -> str:
-    rows = []
-    for key in ("mhf", "ahf", "mif", "aif", "pf", "cf"):
+    lines = [f"classes: {report.tc}", "",
+             f"{'metric':<8}{'value':>12}  {'ratio':>12}  note"]
+    for key in _RATIOS:
         mv: metrics_mod.MetricValue = getattr(report, key)
-        if mv.defined:
-            rows.append((key.upper(), f"{mv.value:.4f}",
-                         f"{mv.numerator}/{mv.denominator}", ""))
-        else:
-            rows.append((key.upper(), "undefined",
-                         f"{mv.numerator}/{mv.denominator}",
-                         mv.undefined_reason or ""))
-    lines = [f"classes: {report.tc}", ""]
-    lines.append(f"{'metric':<8}{'value':>12}  {'ratio':>12}  note")
-    for name, value, ratio, note in rows:
-        lines.append(f"{name:<8}{value:>12}  {ratio:>12}  {note}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _metrics_csv(report: metrics_mod.MoodReport) -> str:
-    lines = ["metric,value,numerator,denominator,undefined_reason"]
-    for key in ("mhf", "ahf", "mif", "aif", "pf", "cf"):
-        mv: metrics_mod.MetricValue = getattr(report, key)
-        value = "" if mv.value is None else repr(mv.value)
-        reason = mv.undefined_reason or ""
-        lines.append(f"{key},{value},{mv.numerator},{mv.denominator},{reason}")
-    lines.append(f"tc,{report.tc},,,")
+        # undefined_reason is None exactly when the value is defined.
+        value = f"{mv.value:.4f}" if mv.defined else "undefined"
+        ratio = f"{mv.numerator}/{mv.denominator}"
+        lines.append(f"{key.upper():<8}{value:>12}  {ratio:>12}  "
+                     f"{mv.undefined_reason or ''}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -174,9 +170,15 @@ def cmd_metrics(args) -> str:
         raise InvalidModelError(diags)
     report = metrics_mod.compute_all(doc.model)
     if args.format == "json":
-        return json.dumps(report.to_json(), indent=2) + "\n"
+        return _json(report.to_json())
     if args.format == "csv":
-        return _metrics_csv(report)
+        # csv writes None as an empty field and a float as its repr.
+        ratios = [getattr(report, key) for key in _RATIOS]
+        return csv_lines(
+            [("metric", "value", "numerator", "denominator", "undefined_reason")]
+            + [(key, mv.value, mv.numerator, mv.denominator, mv.undefined_reason)
+               for key, mv in zip(_RATIOS, ratios)]
+            + [("tc", report.tc, None, None, None)])
     return _metrics_table(report)
 
 
@@ -216,31 +218,28 @@ def _fit_table(fit: FitResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_csv(fits: list[FitResult]) -> str:
-    # csv writes a float as its repr, which round-trips.
-    return csv_lines([("response", "term", "beta", "std_error", "t", "p")] + [
-        (fit.spec.response, c.name, c.beta, c.std_error, c.t_stat, c.p_value)
-        for fit in fits for c in fit.coefficients])
-
-
-def _render_fits(fits: list[FitResult], many: bool, fmt: str) -> str:
-    if fmt == "json":
-        payload = [f.to_json() for f in fits] if many else fits[0].to_json()
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return _fit_csv(fits)
-    return "\n".join(_fit_table(f) for f in fits)
+def _fit_on_the_rest(data: Dataset, response: str) -> FitResult:
+    """Fit the response column on every other column of data."""
+    response = data.resolve(response)
+    predictors = tuple(c for c in data.columns if c != response)
+    return regression.fit(data, ModelSpec(response=response, predictors=predictors))
 
 
 def cmd_fit(args) -> str:
     data = _load_source(args.source)
     if args.response == "all":
         fits = regression.fit_all_interchange(data)
-        return _render_fits(fits, True, args.format)
-    response = data.resolve(args.response)
-    predictors = tuple(c for c in data.columns if c != response)
-    fit = regression.fit(data, ModelSpec(response=response, predictors=predictors))
-    return _render_fits([fit], False, args.format)
+    else:
+        fits = [_fit_on_the_rest(data, args.response)]
+    if args.format == "json":
+        payload = [f.to_json() for f in fits]
+        return _json(payload if args.response == "all" else payload[0])
+    if args.format == "csv":
+        # csv writes a float as its repr, which round-trips.
+        return csv_lines([("response", "term", "beta", "std_error", "t", "p")] + [
+            (fit.spec.response, c.name, c.beta, c.std_error, c.t_stat, c.p_value)
+            for fit in fits for c in fit.coefficients])
+    return "\n".join(map(_fit_table, fits))
 
 
 def _parse_value_flags(extras: Sequence[str]) -> dict[str, float]:
@@ -271,16 +270,13 @@ def _parse_value_flags(extras: Sequence[str]) -> dict[str, float]:
 
 
 def cmd_predict(args) -> str:
-    data = _load_source(args.source)
-    response = data.resolve(args.response)
-    predictors = tuple(c for c in data.columns if c != response)
-    fit = regression.fit(data, ModelSpec(response=response, predictors=predictors))
+    fit = _fit_on_the_rest(_load_source(args.source), args.response)
+    response = fit.spec.response
     values = _parse_value_flags(args.extras)
     prediction = regression.predict(fit, values)
     if args.format == "json":
-        return json.dumps({"response": response,
-                           "inputs": values,
-                           "prediction": prediction}, indent=2) + "\n"
+        return _json({"response": response, "inputs": values,
+                      "prediction": prediction})
     if args.format == "csv":
         return csv_lines([("response", "prediction"), (response, prediction)])
     return f"{prediction!r}\n"
@@ -289,10 +285,8 @@ def cmd_predict(args) -> str:
 def cmd_dataset(args) -> str:
     data = _load_source(args.source)
     if args.format == "json":
-        return json.dumps({"columns": list(data.columns),
-                           "provenance": data.provenance,
-                           "rows": [list(r) for r in data.rows]},
-                          indent=2) + "\n"
+        return _json({"columns": data.columns, "provenance": data.provenance,
+                      "rows": data.rows})
     if args.format == "csv":
         buf = io.StringIO()
         write_csv(data, buf)
@@ -363,12 +357,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             where = f" [{d.class_name}]" if d.class_name else ""
             print(f"moodkit: {d.code}{where}: {d.message}", file=sys.stderr)
         return 3
-    except (ParseError, MalformedRowError, NonNumericError) as exc:
-        print(f"moodkit: {exc.code}: {exc}", file=sys.stderr)
-        return 2
     except MoodkitError as exc:
         print(f"moodkit: {exc.code}: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, (ParseError, MalformedRowError,
+                                     NonNumericError)) else 4
     except OSError as exc:
         print(f"moodkit: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,13 @@ def find_name(name: str, names: Collection[str],
 @dataclass(frozen=True, init=False)
 class Dataset:
     """Immutable table of finite floats, stored by column, with a row count
-    and a provenance tag.  ``rows`` is rebuilt from the columns on each read."""
+    and a provenance tag.  ``rows`` is rebuilt from the columns on each read.
+
+    A column name that is not a str raises TypeError.  Each value goes
+    through float(), which raises TypeError or ValueError for one it does
+    not take; a repeated name, a row of the wrong width, or a value that is
+    not finite raises ValueError.
+    """
 
     columns: tuple[str, ...]
     _values: tuple[tuple[float, ...], ...]

@@ -24,7 +24,7 @@ grammar error, wherever it stands in the input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .class_model import (
@@ -74,10 +74,11 @@ class OmdlDocument:
 
     ``spans`` maps ("class", name), ("method", class, name) and
     ("attribute", class, name) keys to (line, column) of the declaring token.
+    Documents hash by their model alone and compare by model and spans.
     """
 
     model: ClassModel
-    spans: dict
+    spans: dict = field(hash=False)
 
 
 def parse(source: Union[str, bytes]) -> OmdlDocument:
@@ -141,17 +142,16 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
     # from there token by token to the error: the check that comes last
     # cannot pass there, or the pattern would have matched.
     classes: list[ClassDecl] = []
-    position: dict[str, int] = {}
     spans: dict = {}
     pos = 0
     while True:
         h = header.match(source, pos)
-        if h is None or h[1] in position:
+        if h is None or ("class", h[1]) in spans:
             scan = _SCAN.finditer(source, pos)
             if (m := next(scan))[1] != "class":
                 fail(m, "'class'")
             ident(m := next(scan))
-            if m[1] in position:
+            if ("class", m[1]) in spans:
                 fail(m, "a class name not declared before")
             if (m := next(scan))[1] == "extends":
                 m = ident_list()
@@ -159,7 +159,6 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
         cls = h[1]
         if cls is None:
             return OmdlDocument(model=ClassModel(classes), spans=spans)
-        position[cls] = len(classes)
         spans[("class", cls)] = where(h.start(1))
         methods, attributes, uses = [], [], []
         pos = h.end()

@@ -12,7 +12,7 @@ of the package loads without it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 from .dataset import Dataset, find_name, log_columns
@@ -78,7 +78,13 @@ class AnovaTable:
     p_value: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"ss_regression": self.ss_regression,
+                "ss_residual": self.ss_residual, "ss_total": self.ss_total,
+                "df_regression": self.df_regression,
+                "df_residual": self.df_residual, "df_total": self.df_total,
+                "ms_regression": self.ms_regression,
+                "ms_residual": self.ms_residual, "f_stat": self.f_stat,
+                "p_value": self.p_value}
 
 
 @dataclass(frozen=True)

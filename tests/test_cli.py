@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import moodkit
-from moodkit.cli import main
+from moodkit.cli import _build_parser, main
 
 
 VALID_MODEL = """\
@@ -168,6 +168,42 @@ def test_fit_csv_from_file(tmp_path, capsys):
     betas = {c["name"]: c["beta"] for c in payload["coefficients"]}
     assert betas["intercept"] == pytest.approx(1.0, abs=1e-9)
     assert betas["x"] == pytest.approx(2.0, rel=1e-9)
+
+
+def strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("rows, response", [
+    ([(0, 1), (1, 3), (2, 5), (3, 7)], "y"),
+    # NOL = NOC + 2 NOM + 4 NOA: the NOL and NOC fits leave no residual
+    ([(6, 0, 1, 1), (7, 3, 2, 0), (19, 3, 2, 3), (10, 2, 0, 2), (15, 1, 1, 3)],
+     "all"),
+])
+def test_fit_json_writes_infinite_statistics_as_null(tmp_path, capsys, rows,
+                                                     response):
+    columns = ["x", "y"] if response == "y" else ["NOL", "NOC", "NOM", "NOA"]
+    path = tmp_path / "perfect.csv"
+    path.write_text("".join(",".join(map(str, r)) + "\n" for r in [columns, *rows]))
+    code, out, _ = run(capsys, "fit", str(path), "--response", response,
+                       "--format", "json")
+    assert code == 0
+    data = moodkit.Dataset(columns, rows)
+    if response == "all":
+        fits, payloads = moodkit.fit_all_interchange(data), strict_json(out)
+    else:
+        fits = [moodkit.fit(data, moodkit.ModelSpec("y", ("x",)))]
+        payloads = [strict_json(out)]
+    null = lambda v: None if math.isinf(v) else v
+    assert any(math.isinf(fit.anova.f_stat) for fit in fits)
+    for fit, payload in zip(fits, payloads, strict=True):
+        assert payload["anova"]["f_stat"] == null(fit.anova.f_stat)
+        assert payload["anova"]["p_value"] == fit.anova.p_value
+        assert [(c["beta"], c["t"], c["p"]) for c in payload["coefficients"]] == [
+            (c.beta, null(c.t_stat), c.p_value) for c in fit.coefficients]
 
 
 def test_csv_output_quotes_column_names(tmp_path, capsys):
@@ -571,14 +607,14 @@ def _fuzz_argv(rng, header, csv_path, omdl_path, out_file, out_dir):
 def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
     # Any input bytes and any argv end in a documented exit code with a
     # one-line message, write only to the -o file or into --out, and every
-    # SVG written is well-formed.
+    # SVG written is well-formed, as is every JSON output.
     rng, breaker = random.Random(8), random.Random(9)
     inputs, out_root = tmp_path / "in", tmp_path / "out"
     inputs.mkdir()
     monkeypatch.chdir(inputs)
     csv_path, omdl_path = str(inputs / "d.csv"), str(inputs / "m.omdl")
     out_file, out_dir = str(out_root / "result.txt"), str(out_root / "plots")
-    codes, svgs, rejections = collections.Counter(), 0, 0
+    codes, svgs, rejections, jsons = collections.Counter(), 0, 0, 0
     for _ in range(600):
         blob, header, rejected = _fuzz_csv(rng, breaker)
         (inputs / "d.csv").write_bytes(blob)
@@ -592,8 +628,14 @@ def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
             code = main(argv)
         except Exception as exc:  # would be a traceback at the command line
             pytest.fail(f"{argv!r} raised {exc!r}")
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3, 4), argv
+        if code == 0 and argv[0] in ("metrics", "fit", "predict", "dataset"):
+            args = _build_parser().parse_known_args(argv)[0]
+            if (args.format or os.environ.get("MOODKIT_FORMAT")) == "json":
+                strict_json(out if args.output is None else
+                            open(args.output, encoding="utf-8").read())
+                jsons += 1
         if rejected and argv[0] in ("fit", "predict", "dataset", "plot") and (
                 csv_path in argv):
             assert code == 2, argv
@@ -609,7 +651,8 @@ def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
                 svgs += 1
         codes[code] += 1
         shutil.rmtree(out_root)
-    # the cases reach success, each kind of failure, the SVG writer and the
-    # CSV text the reader rejects
+    # the cases reach success, each kind of failure, the SVG writer, the
+    # JSON writer and the CSV text the reader rejects
     assert set(codes) == {0, 1, 2, 3, 4}, codes
-    assert svgs > 0 and rejections > 0, (codes, svgs, rejections)
+    assert svgs > 0 and jsons > 0 and rejections > 0, (codes, svgs, jsons,
+                                                       rejections)

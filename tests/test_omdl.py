@@ -86,6 +86,14 @@ def test_spans_recorded():
     assert doc.spans[("attribute", "A", "x")] == (3, 15)
 
 
+def test_document_hashes_by_model_and_compares_with_spans():
+    doc, moved = parse("class A {}"), parse("\nclass A {}")
+    assert doc == parse("class A {}") and hash(doc) == hash(parse("class A {}"))
+    assert doc != moved and doc.model == moved.model
+    assert hash(doc) == hash(moved)
+    assert len({doc, moved}) == 2
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse("class A {\n  method ;\n}")

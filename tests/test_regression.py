@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -411,6 +412,8 @@ def test_fit_result_json_shape():
         "intercept", "NOC", "NOM", "NOA"]
     for c in payload["coefficients"]:
         assert set(c) == {"name", "beta", "std_error", "t", "p"}
+    assert list(payload["anova"].items()) == list(
+        dataclasses.asdict(result.anova).items())
     assert set(payload["anova"]) == {
         "ss_regression", "ss_residual", "ss_total", "df_regression",
         "df_residual", "df_total", "ms_regression", "ms_residual",
