@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidModelError, UnknownClassError
 
@@ -159,6 +160,7 @@ class ClassDecl:
         return {a.name for a in self.attributes}
 
 
+@dataclass(frozen=True, repr=False)
 class ClassModel:
     """Ordered, name-keyed collection of class declarations.
 
@@ -169,44 +171,38 @@ class ClassModel:
     threads racing to build it build equal indexes, and either may be kept.
     """
 
-    def __init__(self, classes: Iterable[ClassDecl]):
-        self._classes = tuple(classes)
+    classes: tuple[ClassDecl, ...]
+
+    def __post_init__(self):
+        classes = tuple(self.classes)
         position: dict[str, int] = {}
-        for i, decl in enumerate(self._classes):
+        for i, decl in enumerate(classes):
             if not isinstance(decl, ClassDecl):
                 raise TypeError(f"ClassModel: classes holds {decl!r}, not a ClassDecl")
             if position.setdefault(decl.name, i) != i:
                 raise ValueError(f"duplicate class name: {decl.name!r}")
-        self._position = position
-        self._index: Optional[_InheritanceIndex] = None
+        _set(self, "classes", classes)
+        _set(self, "_position", position)
 
-    @property
-    def classes(self) -> tuple[ClassDecl, ...]:
-        return self._classes
+    @cached_property
+    def _index(self) -> _InheritanceIndex:
+        return _build_index(self)
 
     def __len__(self) -> int:
-        return len(self._classes)
+        return len(self.classes)
 
     def __iter__(self) -> Iterator[ClassDecl]:
-        return iter(self._classes)
+        return iter(self.classes)
 
     def __contains__(self, name: str) -> bool:
         return name in self._position
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassModel):
-            return NotImplemented
-        return self._classes == other._classes
-
-    def __hash__(self):
-        return hash(self._classes)
-
     def __repr__(self) -> str:
-        return f"ClassModel({[c.name for c in self._classes]!r})"
+        return f"ClassModel({[c.name for c in self.classes]!r})"
 
     def get(self, name: str) -> ClassDecl:
         try:
-            return self._classes[self._position[name]]
+            return self.classes[self._position[name]]
         except KeyError:
             raise UnknownClassError(name) from None
 
@@ -312,7 +308,7 @@ def validate(model: ClassModel) -> list[Diagnostic]:
 
     # A self-parent makes the index cyclic but is no edge of the parent
     # graph, so it gets SELF_REFERENCE alone: CYCLE is for two or more.
-    index = _index(model)
+    index = model._index
     for members in index.cycles:
         diags.append(Diagnostic(
             CYCLE,
@@ -370,7 +366,7 @@ def _check_inheritance_semantics(
     return diags
 
 
-class _InheritanceIndex:
+class _InheritanceIndex(NamedTuple):
     """Inheritance facts of one model, per class in declaration position.
 
     ``cycles`` (each of two or more classes, as sorted names), ``cyclic`` (a
@@ -378,31 +374,18 @@ class _InheritanceIndex:
     When either of the last two holds, the per-class lists are empty.
     """
 
-    __slots__ = ("cycles", "cyclic", "unresolved", "ancestors", "descendants",
-                 "inherited_methods", "inherited_attrs")
-
-    def __init__(self, cycles: list[tuple[str, ...]], cyclic: bool,
-                 unresolved: bool):
-        self.cycles = cycles
-        self.cyclic = cyclic
-        self.unresolved = unresolved
-        self.ancestors: list[int] = []
-        self.descendants: list[int] = []
-        self.inherited_methods: list[int] = []
-        self.inherited_attrs: list[int] = []
-
-
-def _index(model: ClassModel) -> _InheritanceIndex:
-    """The model's inheritance index, built on first use."""
-    index = model._index
-    if index is None:
-        index = model._index = _build_index(model)
-    return index
+    cycles: list[tuple[str, ...]]
+    cyclic: bool
+    unresolved: bool
+    ancestors: list[int]
+    descendants: list[int]
+    inherited_methods: list[int]
+    inherited_attrs: list[int]
 
 
 def _valid_index(model: ClassModel) -> _InheritanceIndex:
     """The index of a model whose parent graph is resolved and acyclic."""
-    index = _index(model)
+    index = model._index
     if index.cyclic or index.unresolved:
         raise InvalidModelError(validate(model))
     return index
@@ -467,10 +450,10 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
                     for j in component:
                         low[j] = done
                     cycles.append(tuple(sorted(decls[j].name for j in component)))
-    index = _InheritanceIndex(sorted(cycles), self_parent or bool(cycles),
-                              unresolved)
-    if index.cyclic or unresolved:
-        return index
+    cyclic = self_parent or bool(cycles)
+    if cyclic or unresolved:
+        return _InheritanceIndex(sorted(cycles), cyclic, unresolved,
+                                 [], [], [], [])
 
     ancestors = [0] * len(decls)
     for i in order:
@@ -483,13 +466,12 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
     for i in reversed(order):
         for j in parents[i]:
             below[j] |= below[i] | 1 << i
-    index.ancestors = ancestors
-    index.descendants = [mask.bit_count() for mask in below]
-    index.inherited_methods = _inherited_counts(
-        decls, order, parents, n_children, ClassDecl.method_names)
-    index.inherited_attrs = _inherited_counts(
-        decls, order, parents, n_children, ClassDecl.attribute_names)
-    return index
+    return _InheritanceIndex(
+        [], False, False, ancestors, [mask.bit_count() for mask in below],
+        _inherited_counts(decls, order, parents, n_children,
+                          ClassDecl.method_names),
+        _inherited_counts(decls, order, parents, n_children,
+                          ClassDecl.attribute_names))
 
 
 def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],

@@ -31,7 +31,6 @@ from .errors import (
 from .regression import FitResult, ModelSpec
 
 FORMATS = ("table", "json", "csv")
-_RATIOS = ("mhf", "ahf", "mif", "aif", "pf", "cf")
 
 
 class _UsageError(Exception):
@@ -149,7 +148,7 @@ def _fmt_ss(v: float) -> str:
 def _metrics_table(report: metrics_mod.MoodReport) -> str:
     lines = [f"classes: {report.tc}", "",
              f"{'metric':<8}{'value':>12}  {'ratio':>12}  note"]
-    for key in _RATIOS:
+    for key in metrics_mod.RATIOS:
         mv: metrics_mod.MetricValue = getattr(report, key)
         # undefined_reason is None exactly when the value is defined.
         value = f"{mv.value:.4f}" if mv.defined else "undefined"
@@ -173,11 +172,11 @@ def cmd_metrics(args) -> str:
         return _json(report.to_json())
     if args.format == "csv":
         # csv writes None as an empty field and a float as its repr.
-        ratios = [getattr(report, key) for key in _RATIOS]
+        ratios = [(key, getattr(report, key)) for key in metrics_mod.RATIOS]
         return csv_lines(
             [("metric", "value", "numerator", "denominator", "undefined_reason")]
             + [(key, mv.value, mv.numerator, mv.denominator, mv.undefined_reason)
-               for key, mv in zip(_RATIOS, ratios)]
+               for key, mv in ratios]
             + [("tc", report.tc, None, None, None)])
     return _metrics_table(report)
 

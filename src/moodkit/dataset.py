@@ -17,6 +17,7 @@ from .errors import (
     MalformedRowError, NonNumericError, NonPositiveValueError,
     UnknownColumnError,
 )
+from .special import _real
 
 # Symmetric alias table: a lookup for either name finds a column named the other.
 COLUMN_ALIASES = {"LOC": "NOL", "NOL": "LOC"}
@@ -39,7 +40,7 @@ class Dataset:
     A column name that is not a str raises TypeError.  Each value goes
     through float(), which raises TypeError or ValueError for one it does
     not take; a repeated name, a row of the wrong width, or a value that is
-    not finite raises ValueError.
+    not finite or beyond the float range raises ValueError.
     """
 
     columns: tuple[str, ...]
@@ -53,7 +54,10 @@ class Dataset:
         for name in columns:
             if not isinstance(name, str):
                 raise TypeError(f"Dataset: columns holds {name!r}, not a str")
-        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        try:
+            rows = tuple(tuple(float(v) for v in row) for row in rows)
+        except OverflowError:
+            raise ValueError("a value is out of the float range") from None
         if len(set(columns)) != len(columns):
             raise ValueError(f"duplicate column names: {columns!r}")
         width = len(columns)
@@ -277,8 +281,8 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axis(values: list[float], start: float,
-          length: float) -> Callable[[float], float]:
+def _axis(values: list[float], start: float, length: float,
+          name: str) -> Callable[[float], float]:
     """Map the padded [min, max] of ``values`` onto start + [0, length];
     a negative length runs up the canvas.
 
@@ -287,7 +291,9 @@ def _axis(values: list[float], start: float,
     difference, even between -max and +max double, overflows.  Equal values
     pad by 5% of their size, at least 1, so that the pad never rounds away.
     """
-    lo, hi = min(values, default=0.0) / 4, max(values, default=0.0) / 4
+    label = f"a value of column {name!r}"
+    lo = _real(min(values, default=0.0), label) / 4
+    hi = _real(max(values, default=0.0), label) / 4
     pad = (hi - lo) * 0.05 or max(0.25, abs(lo) * 0.05)
     lo, hi = lo - pad, hi + pad
     return lambda v: start + (v / 4 - lo) / (hi - lo) * length
@@ -297,13 +303,16 @@ def svg_scatter(series: ScatterSeries) -> str:
     """Render one series as a standalone 640x480 SVG with labeled axes.
 
     Layout is presentation plumbing: fixed margins, 3px points, min/max
-    data bounds padded 5%.  Output is deterministic for a given series.
+    data bounds padded 5%.  Output is deterministic for a given series.  A
+    coordinate beyond the float range, which only an int can be, raises
+    DomainError.
     """
     width, height = 640, 480
     margin = 50
-    sx = _axis([p[0] for p in series.points], margin, width - 2 * margin)
+    sx = _axis([p[0] for p in series.points], margin, width - 2 * margin,
+               series.x_name)
     sy = _axis([p[1] for p in series.points], height - margin,
-               2 * margin - height)
+               2 * margin - height, series.y_name)
 
     suffix = " (log10)" if series.log10 else ""
     x_label = _xml_text(series.x_name + suffix)

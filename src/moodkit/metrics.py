@@ -22,6 +22,9 @@ from typing import Optional
 
 from .class_model import ClassModel, _valid_index, tallies
 
+# The six ratio names, in report order.
+RATIOS = ("mhf", "ahf", "mif", "aif", "pf", "cf")
+
 
 @dataclass(frozen=True)
 class MetricValue:
@@ -69,15 +72,8 @@ class MoodReport:
     tc: int
 
     def to_json(self) -> dict:
-        return {
-            "mhf": self.mhf.to_json(),
-            "ahf": self.ahf.to_json(),
-            "mif": self.mif.to_json(),
-            "aif": self.aif.to_json(),
-            "pf": self.pf.to_json(),
-            "cf": self.cf.to_json(),
-            "tc": self.tc,
-        }
+        return {**{key: getattr(self, key).to_json() for key in RATIOS},
+                "tc": self.tc}
 
 
 def _ratio(num: int, den: int, reason: str) -> MetricValue:

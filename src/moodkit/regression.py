@@ -20,7 +20,7 @@ from .errors import (
     DegenerateModelError, DomainError, InsufficientDataError,
     MissingPredictorError, RankDeficientError,
 )
-from .special import f_upper_p, t_two_sided_p
+from .special import _real, f_upper_p, t_two_sided_p
 
 # A diagonal entry of R at or below this fraction of the largest entry in its
 # column marks the column as linearly dependent on the columns before it.
@@ -243,13 +243,14 @@ def predict(fit_result: FitResult, inputs: Mapping[str, float]) -> float:
 
     Every predictor must be supplied (aliases accepted); extra keys are
     ignored.  Raises MissingPredictorError naming the first absent column,
-    and DomainError when the result is not finite.
+    and DomainError for an input beyond the float range or a result that
+    is not finite.
     """
     coeffs = fit_result.coefficients
     total = coeffs[0].beta
     for est in coeffs[1:]:
         key = find_name(est.name, inputs, MissingPredictorError)
-        total += est.beta * float(inputs[key])
+        total += est.beta * _real(inputs[key], f"predictor {key!r}")
     if not math.isfinite(total):
         raise DomainError(f"prediction is {total!r}: the inputs are not finite "
                           "or overflow double precision")

@@ -62,6 +62,15 @@ _ZETA_M1 = (
 )
 
 
+def _real(value, label: str) -> float:
+    """float(value), with an int beyond the float range a DomainError."""
+    try:
+        return float(value)
+    except OverflowError:
+        # No repr: an int this large can exceed the int-to-str digit limit.
+        raise DomainError(f"{label} is out of the float range") from None
+
+
 def _lgamma_1p(z: float) -> float:
     """ln Gamma(1+z) for |z| <= 0.5 via the zeta series; exact at z = 0."""
     total = 0.0
@@ -84,7 +93,7 @@ def ln_gamma(x: float) -> float:
     neighborhoods of the zeros at x = 1 and x = 2.  Above about 2.5e305,
     ln Gamma(x) exceeds the float range and the result is inf.
     """
-    x = float(x)
+    x = _real(x, "x")
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
     if 0.5 <= x < 1.5:
@@ -130,8 +139,9 @@ def _beta_cf(x: float, a: float, b: float) -> float:
             h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
-    # At 300 iterations the fraction has converged for all a, b representable
-    # here; returning h keeps the function total.
+    # Not converged, which happens when a and b are both large: at a = b =
+    # 5e5 the upper F tail at f = 1 is 4.5e-10 off its 0.5, and at 5e8 it is
+    # 0 (ROADMAP item 1).  Returning h keeps the function total.
     return h
 
 
@@ -140,9 +150,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Nondecreasing in x with I_0 = 0 and I_1 = 1; accurate to ~1e-13 absolute.
     """
-    x = float(x)
-    a = float(a)
-    b = float(b)
+    x = _real(x, "x")
+    a = _real(a, "a")
+    b = _real(b, "b")
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r} b={b!r}")
     if not 0.0 <= x <= 1.0:
@@ -171,11 +181,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 def _check_df(df, label: str) -> int:
     if isinstance(df, bool) or not isinstance(df, int):
         raise DomainError(f"{label} must be a positive integer, got {df!r}")
-    try:
-        float(df)
-    except OverflowError:
-        # No repr: an int this large can exceed the int-to-str digit limit.
-        raise DomainError(f"{label} is out of the float range") from None
+    _real(df, label)
     if df < 1:
         raise DomainError(f"{label} must be >= 1, got {df!r}")
     return df
@@ -188,7 +194,7 @@ def t_two_sided_p(t: float, df: int) -> float:
     and the result is even in t.
     """
     df = _check_df(df, "df")
-    t = float(t)
+    t = _real(t, "t statistic")
     if t != t:
         raise DomainError("t statistic is NaN")
     if t == 0.0:
@@ -201,7 +207,7 @@ def f_upper_p(f: float, df1: int, df2: int) -> float:
     """P(F_{df1,df2} >= f); strictly decreasing in f, 1 at f = 0."""
     df1 = _check_df(df1, "df1")
     df2 = _check_df(df2, "df2")
-    f = float(f)
+    f = _real(f, "f statistic")
     if not f >= 0.0:
         raise DomainError(f"f statistic must be >= 0, got {f!r}")
     x = df2 / (df2 + df1 * f)

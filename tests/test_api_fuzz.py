@@ -31,10 +31,12 @@ def call(fn, *args):
 
 
 def extreme(rng, lo=-320, hi=308):
-    """A float of any sign and magnitude, or a special value."""
+    """A float of any sign and magnitude, or a special value: among them an
+    int beyond the float range, which float() does not take."""
     if rng.random() < 0.1:
         return rng.choice([0.0, -0.0, float("nan"), float("inf"),
-                           float("-inf"), 5e-324, 1.7976931348623157e308])
+                           float("-inf"), 5e-324, 1.7976931348623157e308,
+                           10**400, -10**400])
     return rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(lo, hi)
 
 

@@ -377,3 +377,18 @@ def test_queries_share_one_index_build(monkeypatch):
         tallies(model, decl.name)
         descendants(model, decl.name)
     assert builds == [model]
+
+
+def test_model_is_a_hashable_read_only_value():
+    decls = [cls("A"), cls("B", parents=("A",))]
+    model = ClassModel(decls)
+    same = ClassModel(list(decls))
+    assert model == same and hash(model) == hash(same)
+    assert model != ClassModel(decls[:1])
+    assert model != ClassModel([cls("A"), cls("B")])
+    assert (model == "x") is False
+    assert repr(model) == "ClassModel(['A', 'B'])"
+    with pytest.raises(AttributeError):
+        model.classes = ()
+    from_iterator = ClassModel(iter(decls)).classes
+    assert type(from_iterator) is tuple and from_iterator == tuple(decls)

@@ -6,9 +6,9 @@ from xml.etree import ElementTree
 import pytest
 
 from moodkit import (
-    Dataset, MalformedRowError, NonNumericError, NonPositiveValueError,
-    UnknownColumnError, builtin_table1, read_csv, scatter, svg_scatter,
-    write_csv,
+    Dataset, DomainError, MalformedRowError, NonNumericError,
+    NonPositiveValueError, ScatterSeries, UnknownColumnError, builtin_table1,
+    read_csv, scatter, svg_scatter, write_csv,
 )
 from moodkit.dataset import TABLE1_COLUMN_SUMS
 
@@ -268,3 +268,15 @@ def test_svg_scatter_escapes_labels():
     root = ElementTree.fromstring(svg)
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts == ["<b>&", "y"]
+
+
+def test_dataset_rejects_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        Dataset(["a"], [[10**400]])
+
+
+@pytest.mark.parametrize("points", [((10**400, 1), (1, 2)),
+                                    ((1, -10**400), (1, 2))])
+def test_svg_scatter_rejects_an_int_beyond_the_float_range(points):
+    with pytest.raises(DomainError, match="float range"):
+        svg_scatter(ScatterSeries("x", "y", points))

@@ -418,3 +418,10 @@ def test_fit_result_json_shape():
         "ss_regression", "ss_residual", "ss_total", "df_regression",
         "df_residual", "df_total", "ms_regression", "ms_residual",
         "f_stat", "p_value"}
+
+
+def test_predict_input_beyond_the_float_range_is_domain_error():
+    result = fit(builtin_table1(), ModelSpec(response="NOL",
+                                             predictors=("NOC", "NOM", "NOA")))
+    with pytest.raises(DomainError, match="float range"):
+        predict(result, {"NOC": 10**400, "NOM": 1, "NOA": 1})

@@ -262,3 +262,14 @@ def test_overflowing_prefactor_is_domain_error():
     # and its exp overflows; that is a lost precision, not an OverflowError.
     with pytest.raises(DomainError, match="precision"):
         f_upper_p(1.904e46, 9 * 10**22, 10**7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t_two_sided_p(10**400, 5),
+    lambda: f_upper_p(10**400, 2, 5),
+    lambda: reg_inc_beta(0.5, 10**400, 1.0),
+    lambda: ln_gamma(10**400),
+], ids=["t", "f", "reg-inc-beta", "ln-gamma"])
+def test_argument_without_a_float_value_is_domain_error(call):
+    with pytest.raises(DomainError, match="float range"):
+        call()
