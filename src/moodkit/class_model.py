@@ -281,23 +281,16 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                         f"{decl.name!r}", decl.name))
                 declarers[f.name] = mask | bit
 
-        if decl.name in decl.parents:
-            diags.append(Diagnostic(
-                SELF_REFERENCE, f"{decl.name!r} lists itself as a parent", decl.name))
-        if decl.name in decl.uses:
-            diags.append(Diagnostic(
-                SELF_REFERENCE, f"{decl.name!r} lists itself in uses", decl.name))
-
-        for parent in decl.parents:
-            if parent != decl.name and parent not in model:
+        for names, where in ((decl.parents, "as a parent"), (decl.uses, "in uses")):
+            if decl.name in names:
                 diags.append(Diagnostic(
-                    UNRESOLVED_NAME,
-                    f"{decl.name!r} extends unknown class {parent!r}", decl.name))
-        for used in decl.uses:
-            if used != decl.name and used not in model:
-                diags.append(Diagnostic(
-                    UNRESOLVED_NAME,
-                    f"{decl.name!r} uses unknown class {used!r}", decl.name))
+                    SELF_REFERENCE, f"{decl.name!r} lists itself {where}", decl.name))
+        for names, verb in ((decl.parents, "extends"), (decl.uses, "uses")):
+            for name in names:
+                if name != decl.name and name not in model:
+                    diags.append(Diagnostic(
+                        UNRESOLVED_NAME,
+                        f"{decl.name!r} {verb} unknown class {name!r}", decl.name))
         for m in decl.methods:
             if m.override_target is not None and m.override_target[0] not in model:
                 diags.append(Diagnostic(
@@ -487,9 +480,10 @@ def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],
     is dropped when its name is declared locally.
 
     The walk carries each class's available features as a map from name to
-    the frozenset of origin positions.  A map lives only until the last
-    child has read it, and that child takes it over instead of copying it,
-    so a chain carries a single map.
+    the frozenset of origin positions.  A class starts from its first
+    parent's map and merges the others into it.  A map lives only until the
+    last child has read it; that child, if the map is of its first parent,
+    takes it over instead of copying it, so a chain carries a single map.
     """
     unread = list(n_children)
     held: dict[int, tuple[dict[str, frozenset[int]], int]] = {}
@@ -499,29 +493,23 @@ def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],
         ps = parents[i]
         available: dict[str, frozenset[int]] = {}
         count = 0
-        if ps:
-            base = max(ps, key=lambda j: (unread[j] == 1, held[j][1]))
-            available, count = held[base]
-            if unread[base] > 1:
-                available = dict(available)
-            for j in ps:
-                if j == base:
-                    continue
-                for name, origins in held[j][0].items():
-                    have = available.get(name)
-                    if have is None:
-                        available[name] = origins
-                        count += len(origins)
-                    elif have is not origins:
-                        merged = have | origins
-                        available[name] = merged
-                        count += len(merged) - len(have)
-            for name in local:
-                count -= len(available.pop(name, ()))
         for j in ps:
             unread[j] -= 1
-            if not unread[j]:
-                del held[j]
+            features, n = held[j] if unread[j] else held.pop(j)
+            if j == ps[0]:
+                available, count = dict(features) if unread[j] else features, n
+                continue
+            for name, origins in features.items():
+                have = available.get(name)
+                if have is None:
+                    available[name] = origins
+                    count += len(origins)
+                elif have is not origins:
+                    merged = have | origins
+                    available[name] = merged
+                    count += len(merged) - len(have)
+        for name in local:
+            count -= len(available.pop(name, ()))
         inherited[i] = count
         if unread[i]:
             own = frozenset((i,))

@@ -159,11 +159,9 @@ def _metrics_table(report: metrics_mod.MoodReport) -> str:
 
 
 def cmd_metrics(args) -> str:
-    # Bytes, so that omdl.parse reports bad UTF-8 at its line:col; line
-    # endings are translated as text mode would.
+    # Bytes, so that omdl.parse reports bad UTF-8 at its line:col.
     with open(args.model_path, "rb") as fh:
-        source = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    doc = omdl.parse(source)
+        doc = omdl.parse(fh.read())
     diags = class_model.validate(doc.model)
     if diags:
         raise InvalidModelError(diags)

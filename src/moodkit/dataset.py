@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Collection, Iterable, Sequence, TextIO
 
 from .errors import (
@@ -148,8 +149,9 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
 
     Line numbers in errors are 1-based over the input lines.  A header-only
     input yields a valid 0-row dataset; a blank header line is an error.
-    Text the CSV reader rejects, such as a bare carriage return inside an
-    unquoted field or a field over its size limit, is a MalformedRowError.
+    A byte-order mark before the first column name is ignored.  Text the
+    CSV reader rejects, such as a bare carriage return inside an unquoted
+    field or a field over its size limit, is a MalformedRowError.
     """
     reader = csv.reader(source)
     try:
@@ -163,6 +165,8 @@ def _read_records(reader, provenance: str) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise MalformedRowError(1, "input is empty, expected a header line") from None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     # A blank line reads as [], and is one empty name, like a line of spaces.
     columns = tuple(name.strip() for name in header or [""])
     seen: set[str] = set()
@@ -230,7 +234,13 @@ def write_csv(data: Dataset, sink: TextIO) -> None:
 
 @dataclass(frozen=True)
 class ScatterSeries:
-    """Point set for one y column against a shared x column."""
+    """Point set for one y column against a shared x column.
+
+    ``points`` is stored as a tuple of float pairs.  A point that is not a
+    pair raises ValueError; a coordinate that is not a real number raises
+    TypeError, an int beyond the float range DomainError, and a NaN or
+    infinity ValueError.
+    """
 
     x_name: str
     y_name: str
@@ -238,7 +248,29 @@ class ScatterSeries:
     log10: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        x_label, y_label = (f"a value of column {name!r}"
+                            for name in (self.x_name, self.y_name))
+        points = []
+        for point in self.points:
+            if len(point := tuple(point)) != 2:
+                raise ValueError(f"ScatterSeries: point {point!r} is not a pair")
+            x, y = point
+            # Finite floats, all that scatter makes, skip the slower checks.
+            if not (type(x) is float and type(y) is float
+                    and math.isfinite(x) and math.isfinite(y)):
+                x, y = _coordinate(x, x_label), _coordinate(y, y_label)
+            points.append((x, y))
+        object.__setattr__(self, "points", tuple(points))
+
+
+def _coordinate(value, label: str) -> float:
+    """value as a finite float, or the error ScatterSeries names."""
+    if not isinstance(value, Real):
+        raise TypeError(f"{label} is {value!r}, not a real number")
+    value = _real(value, label)
+    if not math.isfinite(value):
+        raise ValueError(f"{label} is {value!r}, not finite")
+    return value
 
 
 def log_columns(data: Dataset, names: Sequence[str],
@@ -281,8 +313,8 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axis(values: list[float], start: float, length: float,
-          name: str) -> Callable[[float], float]:
+def _axis(values: list[float], start: float,
+          length: float) -> Callable[[float], float]:
     """Map the padded [min, max] of ``values`` onto start + [0, length];
     a negative length runs up the canvas.
 
@@ -291,9 +323,8 @@ def _axis(values: list[float], start: float, length: float,
     difference, even between -max and +max double, overflows.  Equal values
     pad by 5% of their size, at least 1, so that the pad never rounds away.
     """
-    label = f"a value of column {name!r}"
-    lo = _real(min(values, default=0.0), label) / 4
-    hi = _real(max(values, default=0.0), label) / 4
+    lo = min(values, default=0.0) / 4
+    hi = max(values, default=0.0) / 4
     pad = (hi - lo) * 0.05 or max(0.25, abs(lo) * 0.05)
     lo, hi = lo - pad, hi + pad
     return lambda v: start + (v / 4 - lo) / (hi - lo) * length
@@ -303,16 +334,13 @@ def svg_scatter(series: ScatterSeries) -> str:
     """Render one series as a standalone 640x480 SVG with labeled axes.
 
     Layout is presentation plumbing: fixed margins, 3px points, min/max
-    data bounds padded 5%.  Output is deterministic for a given series.  A
-    coordinate beyond the float range, which only an int can be, raises
-    DomainError.
+    data bounds padded 5%.  Output is deterministic for a given series.
     """
     width, height = 640, 480
     margin = 50
-    sx = _axis([p[0] for p in series.points], margin, width - 2 * margin,
-               series.x_name)
+    sx = _axis([p[0] for p in series.points], margin, width - 2 * margin)
     sy = _axis([p[1] for p in series.points], height - margin,
-               2 * margin - height, series.y_name)
+               2 * margin - height)
 
     suffix = " (log10)" if series.log10 else ""
     x_label = _xml_text(series.x_name + suffix)

@@ -84,9 +84,14 @@ class OmdlDocument:
 def parse(source: Union[str, bytes]) -> OmdlDocument:
     """Parse OMDL source into a document; ParseError on the first bad token.
 
-    No partial model is ever returned.  Bytes are decoded as UTF-8; a
-    decoding failure is reported as a ParseError at the offending line.
+    No partial model is ever returned.  Line ends may be LF, CRLF or CR,
+    and one leading byte-order mark is ignored.  Bytes are decoded as
+    UTF-8; a decoding failure is reported as a ParseError at the offending
+    line.
     """
+    cr, lf = (b"\r", b"\n") if isinstance(source, bytes) else ("\r", "\n")
+    if cr in source:
+        source = source.replace(cr + lf, lf).replace(cr, lf)
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
@@ -96,6 +101,7 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             col = exc.start - prefix.rfind(b"\n")
             raise ParseError((line, col), "valid UTF-8",
                              f"byte 0x{source[exc.start]:02x}") from None
+    source = source.removeprefix("\ufeff")
     # Compiled on the first parse, and kept in re's cache, not on import:
     # every CLI subcommand imports this module.
     header, member, comma = map(re.compile, (_HEADER, _MEMBER, _COMMA))

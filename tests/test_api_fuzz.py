@@ -11,11 +11,12 @@ to and past 10**308.  Every frozen result must hash.
 
 import io
 import random
+from xml.etree import ElementTree
 
 import moodkit
 from moodkit import (
     AttributeDecl, ClassDecl, ClassModel, Dataset, MethodDecl, MethodKind,
-    ModelSpec, MoodkitError, Visibility,
+    ModelSpec, MoodkitError, ScatterSeries, Visibility,
 )
 
 
@@ -130,6 +131,27 @@ def test_fit_and_predict_at_extreme_scales(fits=300):
                   if rng.random() < 0.95}
         y = call(moodkit.predict, result, inputs)
         assert y is None or y - y == 0.0
+
+
+def test_scatter_series_and_svg(series=800):
+    # An SVG that ElementTree reads, with no nan or inf in any attribute.
+    rng = random.Random(1305)
+    odd = [(1.0,), (1.0, 2.0, 3.0), ("1", 2.0), (None, 2.0), [1, 2], (True, 0)]
+    drawn = 0
+    for _ in range(series):
+        points = [rng.choice(odd) if rng.random() < 0.02 else
+                  (extreme(rng), extreme(rng)) for _ in range(rng.randint(0, 6))]
+        made = call(ScatterSeries, rng.choice(["x", "<b>&"]), "y", points,
+                    rng.random() < 0.5)
+        if made is None:
+            continue
+        hash(made)
+        svg = call(moodkit.svg_scatter, made)
+        if svg is not None:
+            ElementTree.fromstring(svg)
+            assert "nan" not in svg and "inf" not in svg, made
+            drawn += 1
+    assert drawn > series // 4
 
 
 _NAMES = ["A", "B", "C", "D", "E", "run", "class", "1x", "a b", "_"]

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,21 @@ def test_metrics_reads_cr_and_crlf_line_endings(tmp_path, capsys):
             [b"// two classes", b"class A { }", b"class B extends A { }", b""]))
         code, out, _ = run(capsys, "metrics", str(path))
         assert code == 0 and "classes: 2" in out
+
+
+def test_cli_ignores_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    for argv in (["fit", str(path), "--response", "NOL"],
+                 ["dataset", str(path), "--format", "json"]):
+        path.write_text("NOL,NOC\n1,2\n3,5\n4,4\n", encoding="utf-8")
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        path.write_text("\ufeffNOL,NOC\n1,2\n3,5\n4,4\n", encoding="utf-8")
+        assert run(capsys, *argv) == want
+    omdl_path = tmp_path / "marked.omdl"
+    omdl_path.write_bytes(b"\xef\xbb\xbfclass A { method m; }\n")
+    code, out, _ = run(capsys, "metrics", str(omdl_path))
+    assert code == 0 and "classes: 1" in out
 
 
 def test_metrics_validation_failure(tmp_path, capsys):
@@ -634,7 +650,7 @@ def test_fuzz_whole_cli(tmp_path, capsys, monkeypatch):
             args = _build_parser().parse_known_args(argv)[0]
             if (args.format or os.environ.get("MOODKIT_FORMAT")) == "json":
                 strict_json(out if args.output is None else
-                            open(args.output, encoding="utf-8").read())
+                            Path(args.output).read_text(encoding="utf-8"))
                 jsons += 1
         if rejected and argv[0] in ("fit", "predict", "dataset", "plot") and (
                 csv_path in argv):

@@ -280,3 +280,29 @@ def test_dataset_rejects_an_int_beyond_the_float_range():
 def test_svg_scatter_rejects_an_int_beyond_the_float_range(points):
     with pytest.raises(DomainError, match="float range"):
         svg_scatter(ScatterSeries("x", "y", points))
+
+
+def test_read_csv_ignores_a_byte_order_mark():
+    data = read_csv(io.StringIO("\ufeffNOL,NOC\n1,2\n"))
+    assert data.columns == ("NOL", "NOC") and data.rows == ((1.0, 2.0),)
+    assert data.resolve("LOC") == "NOL"
+
+
+@pytest.mark.parametrize("point, error, match", [
+    ((1,), ValueError, "not a pair"),
+    ((1, 2, 3), ValueError, "not a pair"),
+    (("a", 1), TypeError, "not a real number"),
+    ((1, None), TypeError, "not a real number"),
+    ((float("nan"), 1), ValueError, "not finite"),
+    ((1, float("-inf")), ValueError, "not finite"),
+    ((10**400, 1), DomainError, "float range"),
+])
+def test_scatter_series_checks_its_points(point, error, match):
+    with pytest.raises(error, match=match):
+        ScatterSeries("x", "y", ((1, 2), point))
+
+
+def test_scatter_series_stores_float_pairs():
+    series = ScatterSeries("x", "y", [[1, 2], (3.5, -4)])
+    assert series.points == ((1.0, 2.0), (3.5, -4.0))
+    assert all(type(v) is float for point in series.points for v in point)

@@ -140,6 +140,27 @@ def test_bytes_input_and_bad_utf8():
         parse(b"class A { \xff }")
 
 
+def test_cr_only_source_equals_its_lf_twin():
+    # The // comment ends at the CR, as the CLI has always read it.
+    lf = "class A { // c\n  method m;\n}\nclass B extends A {\n  attribute x;\n}\n"
+    want = parse(lf)
+    for cr in (lf.replace("\n", "\r"), lf.replace("\n", "\r\n")):
+        for source in (cr, cr.encode()):
+            doc = parse(source)
+            assert doc.model == want.model and doc.spans == want.spans
+    # bytes are split into lines before they are decoded
+    assert error_of(b"class A {\r  method f\xff;\r}\r")[0] == (2, 11)
+
+
+def test_parse_ignores_one_leading_byte_order_mark():
+    want = parse("class A { method m; }")
+    for source in ("\ufeffclass A { method m; }",
+                   b"\xef\xbb\xbfclass A { method m; }"):
+        doc = parse(source)
+        assert doc.model == want.model and doc.spans == want.spans
+    assert error_of("\ufeff\ufeffclass A { }") == ((1, 1), "a token", "'\\ufeff'")
+
+
 def test_no_partial_model_on_error():
     # error in the second class: nothing from the first leaks out
     with pytest.raises(ParseError):
@@ -235,8 +256,8 @@ def error_of(source):
     ("class A { // note { ; }\n  method m; // c\n  attribute x; }",
      (2, 10), (3, 13)),
     ("class A {\r\n  method m;\r\n  attribute x; }", (2, 10), (3, 13)),
-    # a lone \r is not a line break; it takes a column
-    ("class A {\r  method m;\r  attribute x; }", (1, 20), (1, 35)),
+    # a lone \r is a line break, as in the CLI
+    ("class A {\r  method m;\r  attribute x; }", (2, 10), (3, 13)),
     # a tab is one column
     ("class A {\n\tmethod m;\n\tattribute x; }", (2, 9), (3, 12)),
 ], ids=["comment", "crlf", "lone-cr", "tab"])
