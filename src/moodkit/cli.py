@@ -18,17 +18,18 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import class_model, metrics as metrics_mod, omdl, regression
-from .dataset import (
-    Dataset, builtin_table1, csv_lines, read_csv, scatter, svg_scatter, write_csv,
-)
 from .errors import (
     InvalidModelError, MalformedRowError, MoodkitError, NonNumericError,
     ParseError,
 )
-from .regression import FitResult, ModelSpec
+
+# Each subcommand imports the modules it runs, so a cold start loads no more.
+if TYPE_CHECKING:
+    from .dataset import Dataset
+    from .metrics import MoodReport
+    from .regression import FitResult
 
 FORMATS = ("table", "json", "csv")
 
@@ -90,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_source(token: str) -> Dataset:
+    from .dataset import builtin_table1, read_csv
     if token.startswith("builtin:"):
         if token != "builtin:table1":
             raise _UsageError(f"unknown builtin dataset {token!r}; "
@@ -145,11 +147,12 @@ def _fmt_ss(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _metrics_table(report: metrics_mod.MoodReport) -> str:
+def _metrics_table(report: MoodReport) -> str:
+    from .metrics import RATIOS
     lines = [f"classes: {report.tc}", "",
              f"{'metric':<8}{'value':>12}  {'ratio':>12}  note"]
-    for key in metrics_mod.RATIOS:
-        mv: metrics_mod.MetricValue = getattr(report, key)
+    for key in RATIOS:
+        mv = getattr(report, key)
         # undefined_reason is None exactly when the value is defined.
         value = f"{mv.value:.4f}" if mv.defined else "undefined"
         ratio = f"{mv.numerator}/{mv.denominator}"
@@ -159,6 +162,7 @@ def _metrics_table(report: metrics_mod.MoodReport) -> str:
 
 
 def cmd_metrics(args) -> str:
+    from . import class_model, metrics as metrics_mod, omdl
     # Bytes, so that omdl.parse reports bad UTF-8 at its line:col.
     with open(args.model_path, "rb") as fh:
         doc = omdl.parse(fh.read())
@@ -169,6 +173,7 @@ def cmd_metrics(args) -> str:
     if args.format == "json":
         return _json(report.to_json())
     if args.format == "csv":
+        from .dataset import csv_lines
         # csv writes None as an empty field and a float as its repr.
         ratios = [(key, getattr(report, key)) for key in metrics_mod.RATIOS]
         return csv_lines(
@@ -217,15 +222,18 @@ def _fit_table(fit: FitResult) -> str:
 
 def _fit_on_the_rest(data: Dataset, response: str) -> FitResult:
     """Fit the response column on every other column of data."""
+    from .regression import ModelSpec, fit
     response = data.resolve(response)
     predictors = tuple(c for c in data.columns if c != response)
-    return regression.fit(data, ModelSpec(response=response, predictors=predictors))
+    return fit(data, ModelSpec(response=response, predictors=predictors))
 
 
 def cmd_fit(args) -> str:
+    from .dataset import csv_lines
+    from .regression import fit_all_interchange
     data = _load_source(args.source)
     if args.response == "all":
-        fits = regression.fit_all_interchange(data)
+        fits = fit_all_interchange(data)
     else:
         fits = [_fit_on_the_rest(data, args.response)]
     if args.format == "json":
@@ -267,10 +275,12 @@ def _parse_value_flags(extras: Sequence[str]) -> dict[str, float]:
 
 
 def cmd_predict(args) -> str:
+    from .dataset import csv_lines
+    from .regression import predict
     fit = _fit_on_the_rest(_load_source(args.source), args.response)
     response = fit.spec.response
     values = _parse_value_flags(args.extras)
-    prediction = regression.predict(fit, values)
+    prediction = predict(fit, values)
     if args.format == "json":
         return _json({"response": response, "inputs": values,
                       "prediction": prediction})
@@ -280,6 +290,7 @@ def cmd_predict(args) -> str:
 
 
 def cmd_dataset(args) -> str:
+    from .dataset import write_csv
     data = _load_source(args.source)
     if args.format == "json":
         return _json({"columns": data.columns, "provenance": data.provenance,
@@ -301,6 +312,7 @@ def cmd_dataset(args) -> str:
 
 
 def cmd_plot(args) -> str:
+    from .dataset import csv_lines, scatter, svg_scatter
     data = _load_source(args.source)
     ys = [part for part in args.y.split(",") if part]
     if not ys:

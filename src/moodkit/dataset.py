@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -149,11 +150,18 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
 
     Line numbers in errors are 1-based over the input lines.  A header-only
     input yields a valid 0-row dataset; a blank header line is an error.
-    A byte-order mark before the first column name is ignored.  Text the
-    CSV reader rejects, such as a bare carriage return inside an unquoted
-    field or a field over its size limit, is a MalformedRowError.
+    A byte-order mark at the start of the input is ignored, also before a
+    quoted first column name.  Text the CSV reader rejects, such as a bare
+    carriage return inside an unquoted field or a field over its size
+    limit, is a MalformedRowError.
     """
-    reader = csv.reader(source)
+    lines = iter(source)
+    # The mark goes before csv.reader reads the line: left in, it opens an
+    # unquoted field, and a quoted first name keeps its quotes.  A line that
+    # is not a str is left for csv.reader to reject.
+    first = [line.removeprefix("\ufeff") if isinstance(line, str) else line
+             for line in itertools.islice(lines, 1)]
+    reader = csv.reader(itertools.chain(first, lines))
     try:
         return _read_records(reader, provenance)
     except csv.Error as exc:
@@ -165,8 +173,6 @@ def _read_records(reader, provenance: str) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise MalformedRowError(1, "input is empty, expected a header line") from None
-    if header:
-        header[0] = header[0].removeprefix("\ufeff")
     # A blank line reads as [], and is one empty name, like a line of spaces.
     columns = tuple(name.strip() for name in header or [""])
     seen: set[str] = set()
@@ -236,7 +242,8 @@ def write_csv(data: Dataset, sink: TextIO) -> None:
 class ScatterSeries:
     """Point set for one y column against a shared x column.
 
-    ``points`` is stored as a tuple of float pairs.  A point that is not a
+    ``points`` is stored as a tuple of float pairs.  An ``x_name`` or
+    ``y_name`` that is not a str raises TypeError.  A point that is not a
     pair raises ValueError; a coordinate that is not a real number raises
     TypeError, an int beyond the float range DomainError, and a NaN or
     infinity ValueError.
@@ -248,6 +255,9 @@ class ScatterSeries:
     log10: bool = False
 
     def __post_init__(self):
+        for name in (self.x_name, self.y_name):
+            if not isinstance(name, str):
+                raise TypeError(f"ScatterSeries: column name {name!r} is not a str")
         x_label, y_label = (f"a value of column {name!r}"
                             for name in (self.x_name, self.y_name))
         points = []

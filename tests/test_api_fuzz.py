@@ -137,12 +137,14 @@ def test_scatter_series_and_svg(series=800):
     # An SVG that ElementTree reads, with no nan or inf in any attribute.
     rng = random.Random(1305)
     odd = [(1.0,), (1.0, 2.0, 3.0), ("1", 2.0), (None, 2.0), [1, 2], (True, 0)]
+    odd_names = [None, b"x", 1, ("x",)]
     drawn = 0
     for _ in range(series):
         points = [rng.choice(odd) if rng.random() < 0.02 else
                   (extreme(rng), extreme(rng)) for _ in range(rng.randint(0, 6))]
-        made = call(ScatterSeries, rng.choice(["x", "<b>&"]), "y", points,
-                    rng.random() < 0.5)
+        names = [rng.choice(odd_names) if rng.random() < 0.05 else name
+                 for name in (rng.choice(["x", "<b>&"]), "y")]
+        made = call(ScatterSeries, *names, points, rng.random() < 0.5)
         if made is None:
             continue
         hash(made)

@@ -530,6 +530,41 @@ def test_cli_import_does_not_load_numpy():
                    timeout=60)
 
 
+_SUBMODULES = sorted(f"moodkit.{path.stem}" for path in
+                     Path(moodkit.__file__).parent.glob("*.py")
+                     if path.stem != "__init__")
+_LOADS = ("moodkit.omdl", "moodkit.class_model", "moodkit.metrics")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ((), _SUBMODULES),
+    (("metrics", "MODEL", "--format", "json"),
+     ("moodkit.regression", "moodkit.dataset")),
+    (("fit", "builtin:table1", "--response", "all"), _LOADS),
+    (("dataset", "builtin:table1"), ("moodkit.regression",) + _LOADS),
+    (("plot", "builtin:table1", "--x", "NOL", "--y", "NOC", "--out", "OUT"),
+     ("moodkit.regression",) + _LOADS),
+], ids=["import", "metrics", "fit", "dataset", "plot"])
+def test_each_subcommand_loads_only_its_modules(argv, absent, model_file,
+                                                tmp_path):
+    """A bare import loads no submodule, and a subcommand none it does not
+    run; the last line the child prints is the moodkit modules it loaded."""
+    argv = [{"MODEL": model_file, "OUT": str(tmp_path)}.get(a, a) for a in argv]
+    src_dir = os.path.dirname(os.path.dirname(moodkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    env.pop("MOODKIT_FORMAT", None)
+    code = ("import sys, moodkit\n"
+            "if sys.argv[1:]:\n"
+            "    from moodkit.cli import main\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('moodkit')))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "moodkit" in loaded and not loaded & set(absent), loaded
+
+
 _FUZZ_COLUMNS = ["NOL", "NOC", "NOM", "NOA", "nol", "x", "<&>", "é", "",
                  " ", "a b", "..", "../z", "a/b"]
 _FUZZ_CELLS = ["0", "1", "-2", "3.5", "1e300", "-1e300", "1e-300", "inf",

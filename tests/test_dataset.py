@@ -66,6 +66,12 @@ def test_read_csv_empty_input():
         read_csv(io.StringIO(""))
 
 
+@pytest.mark.parametrize("source", [[b"a,b\n", b"1,2\n"], [None]])
+def test_read_csv_rejects_a_line_that_is_not_a_str(source):
+    with pytest.raises(MalformedRowError, match="unreadable CSV"):
+        read_csv(source)
+
+
 def test_read_csv_field_count_mismatch():
     with pytest.raises(MalformedRowError) as exc:
         read_csv(io.StringIO("a,b\n1,2\n3\n"))
@@ -283,9 +289,12 @@ def test_svg_scatter_rejects_an_int_beyond_the_float_range(points):
 
 
 def test_read_csv_ignores_a_byte_order_mark():
-    data = read_csv(io.StringIO("\ufeffNOL,NOC\n1,2\n"))
-    assert data.columns == ("NOL", "NOC") and data.rows == ((1.0, 2.0),)
-    assert data.resolve("LOC") == "NOL"
+    # Also before a quoted first name, which csv.reader would read as an
+    # unquoted field opened by the mark.
+    for text in ("\ufeffNOL,NOC\n1,2\n", '\ufeff"NOL",NOC\n1,2\n'):
+        data = read_csv(io.StringIO(text))
+        assert data.columns == ("NOL", "NOC") and data.rows == ((1.0, 2.0),)
+        assert data.resolve("LOC") == "NOL"
 
 
 @pytest.mark.parametrize("point, error, match", [
@@ -300,6 +309,12 @@ def test_read_csv_ignores_a_byte_order_mark():
 def test_scatter_series_checks_its_points(point, error, match):
     with pytest.raises(error, match=match):
         ScatterSeries("x", "y", ((1, 2), point))
+
+
+@pytest.mark.parametrize("names", [(None, "y"), ("x", b"y"), (1, "y")])
+def test_scatter_series_checks_its_names(names):
+    with pytest.raises(TypeError, match="is not a str"):
+        ScatterSeries(*names, ((1, 2),))
 
 
 def test_scatter_series_stores_float_pairs():
