@@ -17,9 +17,8 @@ from typing import Callable, Collection, Iterable, Sequence, TextIO
 
 from .errors import (
     MalformedRowError, NonNumericError, NonPositiveValueError,
-    UnknownColumnError,
+    UnknownColumnError, _real,
 )
-from .special import _real
 
 # Symmetric alias table: a lookup for either name finds a column named the other.
 COLUMN_ALIASES = {"LOC": "NOL", "NOL": "LOC"}

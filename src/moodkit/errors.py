@@ -57,6 +57,15 @@ class DomainError(MoodkitError):
     code = "DOMAIN"
 
 
+def _real(value, label: str) -> float:
+    """float(value), with an int beyond the float range a DomainError."""
+    try:
+        return float(value)
+    except OverflowError:
+        # No repr: an int this large can exceed the int-to-str digit limit.
+        raise DomainError(f"{label} is out of the float range") from None
+
+
 class UnknownColumnError(MoodkitError):
     code = "UNKNOWN_COLUMN"
 

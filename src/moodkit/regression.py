@@ -1,26 +1,28 @@
 """Ordinary least squares with inference: coefficient table, fit summary,
 ANOVA decomposition, prediction, and the four-way response interchange.
 
-The solver is a Householder QR factorization of the design matrix (LAPACK
-dgeqrf through numpy); the normal equations are never formed, and the Gram
-inverse needed for standard errors comes from the triangular factor.
-Raw-unit coefficients only; the response alone is scaled internally, by a
-power of two, which is exact.  numpy is imported by fit alone, so the rest
-of the package loads without it.
+The solver is a Householder QR factorization (LAPACK dgeqrf through numpy)
+of the columns a call uses, made once for all of the call's specs: the four
+fits of fit_all_interchange share one factorization of the data, and each
+refactors its own terms from that small triangular factor.  The normal
+equations are never formed, and the Gram inverse needed for standard errors
+comes from the triangular factor.  Raw-unit coefficients only; a response
+is scaled internally, by a power of two, which is exact.  numpy is imported
+by the fits alone, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .dataset import Dataset, find_name, log_columns
 from .errors import (
     DegenerateModelError, DomainError, InsufficientDataError,
-    MissingPredictorError, RankDeficientError,
+    MissingPredictorError, RankDeficientError, _real,
 )
-from .special import _real, f_upper_p, t_two_sided_p
+from .special import _f_ps, _t_ps
 
 # A diagonal entry of R at or below this fraction of the largest entry in its
 # column marks the column as linearly dependent on the columns before it.
@@ -120,117 +122,138 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     overflow the QR, or coefficients or sums of squares that overflow),
     RankDeficientError (naming the dependent column), DegenerateModelError.
     """
+    return _fit_many(data, (spec,))[0]
+
+
+def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
+    """fit of each spec, in order, from one QR of the columns they use.
+
+    The specs have equal numbers of predictors.  Fit k raises what fit
+    would raise for it, before fit k+1 is checked.
+    """
     import numpy as np
 
-    response = data.resolve(spec.response)
-    names = ["intercept"] + [data.resolve(pred) for pred in spec.predictors]
-    n, p = data.n_rows, len(names)
+    ys = [data.resolve(spec.response) for spec in specs]
+    terms = [["intercept", *map(data.resolve, spec.predictors), y]
+             for spec, y in zip(specs, ys)]
+    n, p = data.n_rows, len(terms[0]) - 1
     if n <= p:
         raise InsufficientDataError(n, p)
-    # One array [1 | predictors | y]: X and y are views of it, and factoring
-    # it whole gives Qᵀy as R's last column, so Q is never formed.
-    aug = np.empty((n, p + 1), order="F")
-    aug[:, 0] = 1.0
-    for j, name in enumerate(names[1:] + [response], 1):
-        aug[:, j] = data.column(name)
-    X, y = aug[:, :p], aug[:, p]
-    # y in units of 2**y_exp, a power of two near its largest magnitude, so
-    # that its squares neither underflow nor overflow.  The scaling is
-    # exact: r², F, t and p are computed in these units, and beta, the
-    # standard errors and the sums of squares are scaled back at the end.
-    y_exp = math.frexp(np.abs(y).max())[1]
-    np.ldexp(y, -y_exp, out=y)
-
-    r_aug = np.linalg.qr(aug, mode="r")
-    r = r_aug[:p, :p]
-    # Values near the largest double overflow inside the factorization; say
-    # so before the rank test misreads the inf/NaN as a dependent column.
-    # The max propagates NaN.  y is factored in its own units, so the last
-    # entry is its norm in raw units, which overflows where its QR would.
-    diag = np.abs(np.diag(r_aug))
-    with np.errstate(over="ignore"):
-        diag[p] = np.ldexp(np.linalg.norm(y), y_exp)
-    if not math.isfinite(diag.max()):
-        column = (names + [response])[int(np.argmin(np.isfinite(diag)))]
-        raise DomainError(f"values of column {column!r} overflow double "
-                          "precision in the QR factorization; rescale them")
-    # Column j of R has the norm of column j of X, so each column is tested
-    # against its own scale and the test does not depend on units.
-    bad = np.nonzero(diag[:p] <= RANK_TOLERANCE * np.abs(r).max(axis=0))[0]
-    if bad.size:
-        raise RankDeficientError(names[int(bad[0])])
-
-    rinv = np.linalg.inv(r)
-    beta = rinv @ r_aug[:p, p]
-
-    df_regression = p - 1
-    df_residual = n - p
-    df_total = n - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        fitted = X @ beta
-        resid = y - fitted
-        y_mean = float(y.mean())
-        ss_total = float(((y - y_mean) ** 2).sum())
-        ss_residual = float((resid ** 2).sum())
-        # Computed from the fitted values, not as ss_total - ss_residual, so
-        # the decomposition identity stays a real property of the solver.
-        ss_regression = float(((fitted - y_mean) ** 2).sum())
-        scale = float((y ** 2).sum())
-        ms_residual = ss_residual / df_residual
-        s = math.sqrt(ms_residual)
-        # sqrt(diag((XᵀX)⁻¹)) = row norms of R⁻¹, by hypot so that columns
-        # of extreme scale neither underflow nor overflow; initial=0.0 makes
-        # a one-entry row its absolute value.
-        se = s * np.hypot.reduce(rinv, axis=1, initial=0.0)
-        # In raw units, squares beyond ~1e154 overflow: report that, not a
-        # zero variance.
-        raw_ss = np.ldexp((ss_regression, ss_residual, ss_total), 2 * y_exp)
-        raw_beta, raw_se = np.ldexp((beta, se), y_exp)
-    if not (np.isfinite(raw_ss).all() and np.isfinite((raw_beta, raw_se)).all()):
-        raise DomainError(f"coefficients or sums of squares of response "
-                          f"{response!r} overflow double precision; rescale it")
-    if ss_total <= 1e-14 * scale:
-        raise DegenerateModelError(
-            f"response {spec.response!r} has zero variance")
-
-    ms_regression = ss_regression / df_regression if df_regression else 0.0
-    r_squared = 1.0 - ss_residual / ss_total
-    if r_squared < 0.0:
-        r_squared = 0.0
-    adj_r_squared = 1.0 - (1.0 - r_squared) * (n - 1) / (n - p)
-
-    if ms_residual > 0.0:
-        f_stat = ms_regression / ms_residual
-        f_p = f_upper_p(f_stat, df_regression, df_residual) if df_regression else 1.0
-    else:
-        # Perfect fit: infinite F, tail mass zero.
-        f_stat = math.inf
-        f_p = 0.0
-
-    coeffs = []
-    for name, b, b_se, raw_b, raw_b_se in zip(names, beta, se, raw_beta, raw_se):
-        if b_se > 0.0:
-            t = b / b_se
-            pv = t_two_sided_p(t, df_residual)
-        else:
-            # Zero residual variance: the estimate is exact.
-            t = math.inf if b > 0 else (-math.inf if b < 0 else 0.0)
-            pv = 0.0 if b != 0 else 1.0
-        coeffs.append(CoefficientEstimate(
-            name=name, beta=float(raw_b), std_error=float(raw_b_se),
-            t_stat=float(t), p_value=float(pv)))
-
-    ss_regression, ss_residual, ss_total = raw_ss.tolist()
-    anova_table = AnovaTable(
-        ss_regression=ss_regression, ss_residual=ss_residual,
-        ss_total=ss_total, df_regression=df_regression,
-        df_residual=df_residual, df_total=df_total,
-        ms_regression=ss_regression / df_regression if df_regression else 0.0,
-        ms_residual=ss_residual / df_residual, f_stat=f_stat, p_value=f_p)
-    return FitResult(
-        spec=spec, n=n, coefficients=tuple(coeffs), r_squared=r_squared,
-        adj_r_squared=adj_r_squared, std_error_estimate=math.ldexp(s, y_exp),
-        anova=anova_table)
+    # One array z = [1 | every column used]; a spec naming one column twice,
+    # through an alias, gets it twice.  A response is held in units of 2**e,
+    # a power of two near its largest magnitude, so that its squares neither
+    # underflow nor overflow.  The scaling is exact: r², F, t and p are in
+    # these units; beta, standard errors and sums of squares are scaled back.
+    keys = [[(name, t[1:i].count(name)) for i, name in enumerate(t) if i]
+            for t in terms]
+    index = {key: j for j, key in enumerate(dict.fromkeys(sum(keys, [])), 1)}
+    responses = {ks[-1] for ks in keys}
+    z = np.empty((n, len(index) + 1), order="F")
+    z[:, 0] = 1.0
+    exps = [0] * (len(index) + 1)
+    for key, j in index.items():
+        z[:, j] = data.column(key[0])
+        if key in responses:
+            exps[j] = math.frexp(np.abs(z[:, j]).max())[1]
+            np.ldexp(z[:, j], -exps[j], out=z[:, j])
+    # With z = QR, the R factor of z[:, S] is that of R[:, S] (Golub & Van
+    # Loan §12.5): one stacked QR factors each spec's [1 | predictors | y]
+    # from R, predictors back in raw units; one spec's R is triangular
+    # already and comes back unchanged.  Qᵀy is each factor's last column.
+    cols = np.array([[0] + [index[key] for key in ks] for ks in keys])
+    shifts = np.array([[exps[j] for j in c[:p]] + [0] for c in cols], np.intc)
+    df_regression, df_residual, df_total = p - 1, n - p, n - 1
+    coefficients, anovas, summaries = [], [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r0 = np.linalg.qr(z, mode="r")
+        r_augs = np.ldexp(np.linalg.qr(r0[:, cols].swapaxes(0, 1), mode="r"),
+                          shifts[:, None])
+        r = r_augs[:, :p, :p]
+        # Values near the largest double overflow inside the factorization;
+        # say so before the rank test misreads the inf/NaN as a dependent
+        # column.  y is factored in its own units, so the last entry is its
+        # norm in raw units, which overflows where its QR would.
+        diag = np.abs(np.diagonal(r_augs, axis1=1, axis2=2))
+        diag[:, p] = [np.ldexp(np.linalg.norm(z[:, j]), exps[j])
+                      for j in cols[:, p]]
+        finite = np.isfinite(diag)
+        # Column j of R has the norm of column j of X, so each column is
+        # tested against its own scale and the test does not depend on units.
+        dependent = diag[:, :p] <= RANK_TOLERANCE * np.abs(r).max(axis=1)
+        # A factor that fails either test is inverted as I, so that the
+        # stacked inverse cannot raise before its own fit does.
+        ok = finite.all(axis=1) & ~dependent.any(axis=1)
+        rinvs = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
+        for spec, names, c, shift, r_aug, rinv, fin, dep in zip(
+                specs, terms, cols, shifts, r_augs, rinvs, finite, dependent):
+            if not fin.all():
+                raise DomainError(
+                    f"values of column {names[int(np.argmin(fin))]!r} overflow "
+                    "double precision in the QR factorization; rescale them")
+            if dep.any():
+                raise RankDeficientError(names[int(np.argmax(dep))])
+            y, y_exp = z[:, c[p]], exps[c[p]]
+            beta = rinv @ r_aug[:p, p]
+            # A predictor that is another spec's response is in z in that
+            # response's units, so its coefficient is scaled to match.
+            fitted = z[:, c[:p]] @ np.ldexp(beta, shift[:p])
+            y_mean = float(y.mean())
+            ss_total = float(((y - y_mean) ** 2).sum())
+            ss_residual = float(((y - fitted) ** 2).sum())
+            # Computed from the fitted values, not as ss_total - ss_residual,
+            # so the decomposition identity stays a real property of the
+            # solver.
+            ss_regression = float(((fitted - y_mean) ** 2).sum())
+            del fitted  # not held while the next fit computes its own
+            scale = float((y ** 2).sum())
+            ms_residual = ss_residual / df_residual
+            s = math.sqrt(ms_residual)
+            # sqrt(diag((XᵀX)⁻¹)) = row norms of R⁻¹, by hypot so that
+            # columns of extreme scale neither underflow nor overflow;
+            # initial=0.0 makes a one-entry row its absolute value.
+            se = s * np.hypot.reduce(rinv, axis=1, initial=0.0)
+            # In raw units, squares beyond ~1e154 overflow: report that, not
+            # a zero variance.
+            raw_ss = np.ldexp((ss_regression, ss_residual, ss_total), 2 * y_exp)
+            raw_beta, raw_se = np.ldexp((beta, se), y_exp)
+            if not (np.isfinite(raw_ss).all()
+                    and np.isfinite((raw_beta, raw_se)).all()):
+                raise DomainError(f"coefficients or sums of squares of "
+                                  f"response {names[p]!r} overflow double "
+                                  "precision; rescale it")
+            if ss_total <= 1e-14 * scale:
+                raise DegenerateModelError(
+                    f"response {spec.response!r} has zero variance")
+            # With zero residual variance t and F are infinite, t is 0 for a
+            # zero estimate, and their tails are 0 (1): the fit is exact.
+            ts = beta / se
+            ts[np.isnan(ts)] = 0.0
+            coefficients.append(list(zip(names, raw_beta.tolist(),
+                                         raw_se.tolist(), ts.tolist())))
+            ms_regression = ss_regression / df_regression if df_regression else 0.0
+            r_squared = max(1.0 - ss_residual / ss_total, 0.0)
+            summaries.append(dict(
+                spec=spec, n=n, r_squared=r_squared,
+                adj_r_squared=1.0 - (1.0 - r_squared) * (n - 1) / (n - p),
+                std_error_estimate=math.ldexp(s, y_exp)))
+            ss_regression, ss_residual, ss_total = raw_ss.tolist()
+            anovas.append(dict(
+                ss_regression=ss_regression, ss_residual=ss_residual,
+                ss_total=ss_total, df_regression=df_regression,
+                df_residual=df_residual, df_total=df_total,
+                ms_regression=(ss_regression / df_regression
+                               if df_regression else 0.0),
+                ms_residual=ss_residual / df_residual,
+                f_stat=(ms_regression / ms_residual if ms_residual > 0.0
+                        else math.inf)))
+    # The fits share their degrees of freedom: one call, one normaliser.
+    t_ps = iter(_t_ps([c[3] for cs in coefficients for c in cs], df_residual))
+    f_ps = (_f_ps([a["f_stat"] for a in anovas], df_regression, df_residual)
+            if df_regression else [1.0] * len(anovas))
+    return [FitResult(coefficients=tuple(CoefficientEstimate(*c, next(t_ps))
+                                         for c in cs),
+                      anova=AnovaTable(**a, p_value=f_p), **summary)
+            for cs, a, summary, f_p in zip(coefficients, anovas, summaries, f_ps)]
 
 
 def anova(fit_result: FitResult) -> AnovaTable:
@@ -263,12 +286,8 @@ INTERCHANGE_RESPONSES = ("NOL", "NOC", "NOM", "NOA")
 def fit_all_interchange(data: Dataset) -> list[FitResult]:
     """Fit each of NOL, NOC, NOM, NOA on the other three, in that order."""
     canonical = [data.resolve(c) for c in INTERCHANGE_RESPONSES]
-    results = []
-    for response in canonical:
-        predictors = tuple(c for c in canonical if c != response)
-        results.append(fit(data, ModelSpec(response=response,
-                                           predictors=predictors)))
-    return results
+    return _fit_many(data, [ModelSpec(response, tuple(
+        c for c in canonical if c != response)) for response in canonical])
 
 
 def log_transform(data: Dataset, base10: bool = True) -> Dataset:

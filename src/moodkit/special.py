@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -60,15 +60,6 @@ _ZETA_M1 = (
     9.0949478402638892829e-13,
     4.547473783042154027e-13,
 )
-
-
-def _real(value, label: str) -> float:
-    """float(value), with an int beyond the float range a DomainError."""
-    try:
-        return float(value)
-    except OverflowError:
-        # No repr: an int this large can exceed the int-to-str digit limit.
-        raise DomainError(f"{label} is out of the float range") from None
 
 
 def _lgamma_1p(z: float) -> float:
@@ -162,12 +153,16 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r} b={b!r}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
+    return _inc_beta(x, a, b, ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b))
+
+
+def _inc_beta(x: float, a: float, b: float, ln_norm: float) -> float:
+    """reg_inc_beta of checked arguments; ln_norm is ln B(a, b)⁻¹."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
+    ln_front = ln_norm + a * math.log(x) + b * math.log1p(-x)
     try:
         front = math.exp(ln_front)
     except OverflowError:
@@ -198,22 +193,38 @@ def t_two_sided_p(t: float, df: int) -> float:
     Evaluated as I_x(df/2, 1/2) with x = df/(df + t^2), so t=0 gives exactly 1
     and the result is even in t.
     """
-    df = _check_df(df, "df")
-    t = _real(t, "t statistic")
-    if t != t:
-        raise DomainError("t statistic is NaN")
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return reg_inc_beta(x, 0.5 * df, 0.5)
+    return _t_ps((t,), df)[0]
 
 
 def f_upper_p(f: float, df1: int, df2: int) -> float:
     """P(F_{df1,df2} >= f); strictly decreasing in f, 1 at f = 0."""
+    return _f_ps((f,), df1, df2)[0]
+
+
+def _t_ps(ts, df: int) -> list[float]:
+    """t_two_sided_p of each t at one df, with one log-beta normaliser."""
+    df = _check_df(df, "df")
+    a = 0.5 * df
+    ln_norm = ln_gamma(a + 0.5) - ln_gamma(a) - ln_gamma(0.5)
+    ps = []
+    for t in ts:
+        t = _real(t, "t statistic")
+        if t != t:
+            raise DomainError("t statistic is NaN")
+        ps.append(_inc_beta(df / (df + t * t), a, 0.5, ln_norm))
+    return ps
+
+
+def _f_ps(fs, df1: int, df2: int) -> list[float]:
+    """f_upper_p of each f at one (df1, df2), with one log-beta normaliser."""
     df1 = _check_df(df1, "df1")
     df2 = _check_df(df2, "df2")
-    f = _real(f, "f statistic")
-    if not f >= 0.0:
-        raise DomainError(f"f statistic must be >= 0, got {f!r}")
-    x = df2 / (df2 + df1 * f)
-    return reg_inc_beta(x, 0.5 * df2, 0.5 * df1)
+    a, b = 0.5 * df2, 0.5 * df1
+    ln_norm = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+    ps = []
+    for f in fs:
+        f = _real(f, "f statistic")
+        if not f >= 0.0:
+            raise DomainError(f"f statistic must be >= 0, got {f!r}")
+        ps.append(_inc_beta(df2 / (df2 + df1 * f), a, b, ln_norm))
+    return ps

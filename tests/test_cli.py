@@ -541,9 +541,10 @@ _LOADS = ("moodkit.omdl", "moodkit.class_model", "moodkit.metrics")
     (("metrics", "MODEL", "--format", "json"),
      ("moodkit.regression", "moodkit.dataset")),
     (("fit", "builtin:table1", "--response", "all"), _LOADS),
-    (("dataset", "builtin:table1"), ("moodkit.regression",) + _LOADS),
+    (("dataset", "builtin:table1"),
+     ("moodkit.regression", "moodkit.special") + _LOADS),
     (("plot", "builtin:table1", "--x", "NOL", "--y", "NOC", "--out", "OUT"),
-     ("moodkit.regression",) + _LOADS),
+     ("moodkit.regression", "moodkit.special") + _LOADS),
 ], ids=["import", "metrics", "fit", "dataset", "plot"])
 def test_each_subcommand_loads_only_its_modules(argv, absent, model_file,
                                                 tmp_path):

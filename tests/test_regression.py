@@ -1,14 +1,16 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from moodkit import (
     Dataset, DegenerateModelError, DomainError, InsufficientDataError,
-    MissingPredictorError, ModelSpec, RankDeficientError, anova,
-    builtin_table1, fit, fit_all_interchange, log_transform, predict,
+    MissingPredictorError, ModelSpec, MoodkitError, RankDeficientError, anova,
+    builtin_table1, f_upper_p, fit, fit_all_interchange, log_transform,
+    predict, t_two_sided_p,
 )
 
 from tests.oracles import gram_inverse_diag_fractions, ols_normal_equations
@@ -358,6 +360,125 @@ def test_interchange_fit_quality_on_builtin():
     for r in results:
         assert 0.0 <= r.r_squared <= 1.0
         assert r.anova.df_total == 32
+
+
+SIZES = ("NOL", "NOC", "NOM", "NOA")
+
+
+def size_table(seed, n_rows=33):
+    """Positive counts that grow together, like Table 1's, with noise."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_rows):
+        noc = math.exp(rng.uniform(2.0, 8.0))
+        rows.append((round(noc * rng.uniform(50, 400)), round(noc),
+                     round(noc * rng.uniform(5, 20)),
+                     round(noc * rng.uniform(2, 10))))
+    return make_dataset(SIZES, rows)
+
+
+def interchange_specs():
+    return [ModelSpec(r, tuple(c for c in SIZES if c != r)) for r in SIZES]
+
+
+def table1_with(change):
+    return make_dataset(SIZES, [change(*row) for row in builtin_table1().rows])
+
+
+def _scaled(column, factor):
+    j = SIZES.index(column)
+    return lambda *row: tuple(v * factor if i == j else v
+                              for i, v in enumerate(row))
+
+
+_INTERCHANGE_TABLES = {
+    "table1": lambda *row: row,
+    "constant NOL": lambda nol, noc, nom, noa: (5e4, noc, nom, noa),
+    "constant NOA": lambda nol, noc, nom, noa: (nol, noc, nom, 300.0),
+    "NOA = 2 NOM": lambda nol, noc, nom, noa: (nol, noc, nom, 2 * nom),
+    "zero NOM": lambda nol, noc, nom, noa: (nol, noc, 0.0, noa),
+    "NOA = NOC + NOM": lambda nol, noc, nom, noa: (nol, noc, nom, noc + nom),
+    **{f"{column} x {factor!r}": _scaled(column, factor)
+       for column in ("NOL", "NOA")
+       for factor in (1e300, 1e150, 1e-300, 1e-200, 2.0**-1000, 2.0**900)},
+}
+
+
+@pytest.mark.parametrize("change", _INTERCHANGE_TABLES.values(),
+                         ids=_INTERCHANGE_TABLES.keys())
+def test_interchange_equals_four_fits(change):
+    # The interchange factors the four columns once and each fit's terms
+    # again from that factor; it must answer as the four fits do, and raise
+    # what the first of them that fails raises.
+    data = table1_with(change)
+    singles = []
+    for spec in interchange_specs():
+        try:
+            singles.append(fit(data, spec))
+        except MoodkitError as exc:
+            with pytest.raises(type(exc)) as got:
+                fit_all_interchange(data)
+            assert str(got.value) == str(exc)
+            return
+    for one, many in zip(singles, fit_all_interchange(data)):
+        assert many.spec == one.spec
+        assert (many.anova.df_regression, many.anova.df_residual) == (
+            one.anova.df_regression, one.anova.df_residual)
+        for a, b in zip(one.coefficients, many.coefficients):
+            assert a.name == b.name
+            assert b.beta == pytest.approx(a.beta, rel=1e-10, abs=0.0)
+            assert b.std_error == pytest.approx(a.std_error, rel=1e-10, abs=0.0)
+        for field in ("ss_regression", "ss_residual", "ss_total"):
+            assert getattr(many.anova, field) == pytest.approx(
+                getattr(one.anova, field), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_interchange_tails_are_the_public_tails(seed):
+    # One normaliser serves every tail of the interchange; each p-value is
+    # still bit for bit the public tail of its statistic.
+    data = builtin_table1() if seed is None else size_table(seed)
+    for result in fit_all_interchange(data):
+        a = result.anova
+        for c in result.coefficients:
+            assert c.p_value == t_two_sided_p(c.t_stat, a.df_residual)
+        assert a.p_value == f_upper_p(a.f_stat, a.df_regression, a.df_residual)
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(10)))
+def test_interchange_matches_exact_oracle(seed):
+    data = builtin_table1() if seed is None else size_table(100 + seed)
+    for result in fit_all_interchange(data):
+        want = ols_normal_equations(
+            [[data.column(c)[i] for c in result.spec.predictors]
+             for i in range(data.n_rows)], data.column(result.spec.response))
+        for est, w in zip(result.coefficients, want):
+            assert est.beta == pytest.approx(float(w), rel=1e-10, abs=0.0)
+
+
+def test_interchange_peak_memory_is_that_of_one_fit():
+    # The four fits share one n-row array and one factorization, and keep
+    # their n-length sums per fit: the peak stays near one fit's.
+    data = size_table(7, 50_000)
+    fit_all_interchange(data)  # imports numpy and warms its caches
+    peaks = []
+    for run in (lambda: fit(data, interchange_specs()[0]),
+                lambda: fit_all_interchange(data)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_a_column_named_twice_through_an_alias_is_two_columns():
+    data = builtin_table1()
+    with pytest.raises(RankDeficientError) as exc:
+        fit(data, ModelSpec("NOM", ("NOL", "LOC")))
+    assert exc.value.column == "NOL"
+    assert fit(data, ModelSpec("LOC", ("NOL", "NOC"))).r_squared == 1.0
 
 
 def test_log_transform_values_and_names():
