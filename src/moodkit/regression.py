@@ -6,9 +6,9 @@ of the columns a call uses, made once for all of the call's specs: the four
 fits of fit_all_interchange share one factorization of the data, and each
 refactors its own terms from that small triangular factor.  The normal
 equations are never formed, and the Gram inverse needed for standard errors
-comes from the triangular factor.  Raw-unit coefficients only; a response
-is scaled internally, by a power of two, which is exact.  numpy is imported
-by the fits alone, so the rest of the package loads without it.
+comes from the triangular factor.  Raw-unit coefficients only; every
+column is scaled internally, by a power of two, which is exact.  numpy is
+imported by the fits alone, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """OLS fit of spec on data with t-based coefficient inference.
 
     Preconditions: more rows than parameters, full-rank design, response
-    not constant.  Errors: InsufficientDataError, DomainError (values that
-    overflow the QR, or coefficients or sums of squares that overflow),
+    not constant.  Errors: InsufficientDataError, DomainError (coefficients,
+    standard errors or sums of squares that overflow in raw units),
     RankDeficientError (naming the dependent column), DegenerateModelError.
     """
     return _fit_many(data, (spec,))[0]
@@ -140,63 +140,47 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
     if n <= p:
         raise InsufficientDataError(n, p)
     # One array z = [1 | every column used]; a spec naming one column twice,
-    # through an alias, gets it twice.  A response is held in units of 2**e,
-    # a power of two near its largest magnitude, so that its squares neither
-    # underflow nor overflow.  The scaling is exact: r², F, t and p are in
-    # these units; beta, standard errors and sums of squares are scaled back.
+    # through an alias, gets it twice.  Each column is held in units of 2**e,
+    # a power of two near its largest magnitude, so that no product or square
+    # in the fit underflows or overflows.  The scaling is exact and Householder
+    # QR is invariant under it: r², F, t and p are unit-free; beta, standard
+    # errors and sums of squares are scaled back.
     keys = [[(name, t[1:i].count(name)) for i, name in enumerate(t) if i]
             for t in terms]
     index = {key: j for j, key in enumerate(dict.fromkeys(sum(keys, [])), 1)}
-    responses = {ks[-1] for ks in keys}
     z = np.empty((n, len(index) + 1), order="F")
     z[:, 0] = 1.0
     exps = [0] * (len(index) + 1)
     for key, j in index.items():
         z[:, j] = data.column(key[0])
-        if key in responses:
-            exps[j] = math.frexp(np.abs(z[:, j]).max())[1]
-            np.ldexp(z[:, j], -exps[j], out=z[:, j])
+        exps[j] = math.frexp(np.abs(z[:, j]).max())[1]
+        np.ldexp(z[:, j], -exps[j], out=z[:, j])
     # With z = QR, the R factor of z[:, S] is that of R[:, S] (Golub & Van
     # Loan §12.5): one stacked QR factors each spec's [1 | predictors | y]
-    # from R, predictors back in raw units; one spec's R is triangular
-    # already and comes back unchanged.  Qᵀy is each factor's last column.
+    # from R; one spec's R is triangular already and comes back unchanged.
+    # Qᵀy is each factor's last column.
     cols = np.array([[0] + [index[key] for key in ks] for ks in keys])
-    shifts = np.array([[exps[j] for j in c[:p]] + [0] for c in cols], np.intc)
     df_regression, df_residual, df_total = p - 1, n - p, n - 1
     coefficients, anovas, summaries = [], [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r0 = np.linalg.qr(z, mode="r")
-        r_augs = np.ldexp(np.linalg.qr(r0[:, cols].swapaxes(0, 1), mode="r"),
-                          shifts[:, None])
+        r_augs = np.linalg.qr(r0[:, cols].swapaxes(0, 1), mode="r")
         r = r_augs[:, :p, :p]
-        # Values near the largest double overflow inside the factorization;
-        # say so before the rank test misreads the inf/NaN as a dependent
-        # column.  y is factored in its own units, so the last entry is its
-        # norm in raw units, which overflows where its QR would.
-        diag = np.abs(np.diagonal(r_augs, axis1=1, axis2=2))
-        diag[:, p] = [np.ldexp(np.linalg.norm(z[:, j]), exps[j])
-                      for j in cols[:, p]]
-        finite = np.isfinite(diag)
         # Column j of R has the norm of column j of X, so each column is
         # tested against its own scale and the test does not depend on units.
-        dependent = diag[:, :p] <= RANK_TOLERANCE * np.abs(r).max(axis=1)
-        # A factor that fails either test is inverted as I, so that the
-        # stacked inverse cannot raise before its own fit does.
-        ok = finite.all(axis=1) & ~dependent.any(axis=1)
-        rinvs = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
-        for spec, names, c, shift, r_aug, rinv, fin, dep in zip(
-                specs, terms, cols, shifts, r_augs, rinvs, finite, dependent):
-            if not fin.all():
-                raise DomainError(
-                    f"values of column {names[int(np.argmin(fin))]!r} overflow "
-                    "double precision in the QR factorization; rescale them")
+        dependent = (np.abs(np.diagonal(r, axis1=1, axis2=2))
+                     <= RANK_TOLERANCE * np.abs(r).max(axis=1))
+        # A dependent factor is inverted as I, so that the stacked inverse
+        # cannot raise before its own fit does.
+        rinvs = np.linalg.inv(np.where(dependent.any(axis=1)[:, None, None],
+                                       np.eye(p), r))
+        for spec, names, c, r_aug, rinv, dep in zip(
+                specs, terms, cols, r_augs, rinvs, dependent):
             if dep.any():
                 raise RankDeficientError(names[int(np.argmax(dep))])
             y, y_exp = z[:, c[p]], exps[c[p]]
             beta = rinv @ r_aug[:p, p]
-            # A predictor that is another spec's response is in z in that
-            # response's units, so its coefficient is scaled to match.
-            fitted = z[:, c[:p]] @ np.ldexp(beta, shift[:p])
+            fitted = z[:, c[:p]] @ beta
             y_mean = float(y.mean())
             ss_total = float(((y - y_mean) ** 2).sum())
             ss_residual = float(((y - fitted) ** 2).sum())
@@ -215,7 +199,8 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
             # In raw units, squares beyond ~1e154 overflow: report that, not
             # a zero variance.
             raw_ss = np.ldexp((ss_regression, ss_residual, ss_total), 2 * y_exp)
-            raw_beta, raw_se = np.ldexp((beta, se), y_exp)
+            raw_beta, raw_se = np.ldexp((beta, se),
+                                        [y_exp - exps[j] for j in c[:p]])
             if not (np.isfinite(raw_ss).all()
                     and np.isfinite((raw_beta, raw_se)).all()):
                 raise DomainError(f"coefficients or sums of squares of "

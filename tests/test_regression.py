@@ -106,28 +106,21 @@ def test_all_zero_predictor_is_rank_deficient():
     assert exc.value.column == "zero"
 
 
-def test_overflowing_column_is_named_not_rank_deficient():
-    # Values near the largest double make diag R inf/NaN; the error names
-    # the overflowing column instead of blaming a dependent one.
+def test_overflowing_sums_of_squares_are_named_not_zero_variance():
+    # A response near 1e200, or near the largest double, factors fine in its
+    # own units, but its squares overflow; the inf sum of squares must not
+    # pass for a constant response.
     big = [1.0, 1.1, 1.25, 1.4, 1.55, 1.7]
     small = [1.0, 2.0, 3.5, 4.0, 5.2, 6.1]
-    data = make_dataset(["x", "y"], [(b * 1e308, v) for b, v in zip(big, small)])
-    with pytest.raises(DomainError, match="column 'x'.*overflow"):
-        fit(data, ModelSpec(response="y", predictors=("x",)))
-    data = make_dataset(["x", "y"], [(v, b * 1e308) for b, v in zip(big, small)])
-    with pytest.raises(DomainError, match="column 'y'.*overflow"):
-        fit(data, ModelSpec(response="y", predictors=("x",)))
+    for rows in ([(1, 2.0), (2, 1e200), (3, 5.0), (4, 1.0)],
+                 [(v, b * 1e308) for b, v in zip(big, small)]):
+        data = make_dataset(["x", "y"], rows)
+        with pytest.raises(DomainError, match="response 'y' overflow"):
+            fit(data, ModelSpec(response="y", predictors=("x",)))
 
 
-def test_overflowing_sums_of_squares_are_named_not_zero_variance():
-    # A response near 1e200 factors fine, but its squares overflow; the
-    # inf sum of squares must not pass for a constant response.
-    data = make_dataset(["x", "y"], [(1, 2.0), (2, 1e200), (3, 5.0), (4, 1.0)])
-    with pytest.raises(DomainError, match="response 'y' overflow"):
-        fit(data, ModelSpec(response="y", predictors=("x",)))
-
-
-@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e200, 1e300, 3e307,
+                                   2.0**1020])
 def test_rank_test_does_not_depend_on_column_scale(scale):
     # Each column is tested against its own scale, so rescaling x moves its
     # coefficient and standard error together and leaves t and p as they are.
@@ -401,6 +394,10 @@ _INTERCHANGE_TABLES = {
     **{f"{column} x {factor!r}": _scaled(column, factor)
        for column in ("NOL", "NOA")
        for factor in (1e300, 1e150, 1e-300, 1e-200, 2.0**-1000, 2.0**900)},
+    # NOC's largest value at 1.1e308: factored in raw units, its products
+    # overflow without leaving inf or NaN on R's diagonal, and the fit of NOL
+    # then reads NOM as dependent on the columns before it.
+    "NOC to 1.1e308": _scaled("NOC", 1.1e308 / 5107),
 }
 
 
