@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -468,6 +469,30 @@ def test_interchange_peak_memory_is_that_of_one_fit():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_fits_match_the_golden():
+    # Every outcome of tests/data/fit_golden.json: the same exception, or
+    # every recorded value to 1e-10 relative.  The interchange raises what
+    # the first of its four specs raises, or returns their four results.
+    from tests import fit_golden
+    golden = json.loads(fit_golden.GOLDEN.read_text(encoding="utf-8"))
+    labelled = fit_golden.tables(golden["seed"])
+    assert golden["inputs"] == fit_golden.digest(labelled)
+    for (label, data), (want_label, want) in zip(labelled, golden["outcomes"],
+                                                 strict=True):
+        assert label == want_label
+        got = [fit_golden.outcome(data, spec) for spec in fit_golden.SPECS]
+        try:
+            got += [fit_golden.values(r) for r in fit_all_interchange(data)]
+        except MoodkitError as exc:
+            got.append(fit_golden.error(exc))
+        failed = [w for w in want[:4] if isinstance(w[0], str)]
+        want += failed[:1] or want[:4]
+        for k, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g == (w if isinstance(w[0], str) else
+                         pytest.approx(w, rel=1e-10, abs=0.0)), (
+                label, (*fit_golden.SPECS, "interchange")[min(k, 8)])
 
 
 def test_a_column_named_twice_through_an_alias_is_two_columns():
