@@ -5,11 +5,12 @@ The solver is a Householder QR factorization (LAPACK dgeqrf through numpy)
 of the columns a call uses, made once for all of the call's specs: the four
 fits of fit_all_interchange share one factorization of the data, and each
 refactors its own terms from that small triangular factor.  The normal
-equations are never formed, and the Gram inverse needed for standard errors
-comes from the triangular factor.  Raw-unit coefficients only; every
-column is scaled internally, by a power of two, which is exact.  numpy is
-imported by the fits alone, so the rest of the package loads without it.
-"""
+equations are never formed: the Gram inverse needed for standard errors
+comes from the triangular factor, the regression and residual sums of
+squares from its last column Qᵀy, and the total sum of squares from one
+centred pass over the data.  Raw-unit coefficients only; every column is
+scaled internally, by a power of two, which is exact.  numpy is imported
+by the fits alone, so the rest of the package loads without it."""
 
 from __future__ import annotations
 
@@ -47,9 +48,7 @@ class ModelSpec:
             raise ValueError(f"response {self.response!r} is also a predictor")
 
     def to_json(self) -> dict:
-        return {"response": self.response,
-                "predictors": list(self.predictors),
-                "intercept": self.intercept}
+        return {**vars(self), "predictors": list(self.predictors)}
 
 
 @dataclass(frozen=True)
@@ -80,13 +79,7 @@ class AnovaTable:
     p_value: float
 
     def to_json(self) -> dict:
-        return {"ss_regression": self.ss_regression,
-                "ss_residual": self.ss_residual, "ss_total": self.ss_total,
-                "df_regression": self.df_regression,
-                "df_residual": self.df_residual, "df_total": self.df_total,
-                "ms_regression": self.ms_regression,
-                "ms_residual": self.ms_residual, "f_stat": self.f_stat,
-                "p_value": self.p_value}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -103,24 +96,24 @@ class FitResult:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "n": self.n,
-            "coefficients": [c.to_json() for c in self.coefficients],
-            "r_squared": self.r_squared,
-            "adj_r_squared": self.adj_r_squared,
-            "std_error_estimate": self.std_error_estimate,
-            "anova": self.anova.to_json(),
-        }
+        return {**vars(self), "spec": self.spec.to_json(),
+                "coefficients": [c.to_json() for c in self.coefficients],
+                "anova": self.anova.to_json()}
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """OLS fit of spec on data with t-based coefficient inference.
 
-    Preconditions: more rows than parameters, full-rank design, response
-    not constant.  Errors: InsufficientDataError, DomainError (coefficients,
-    standard errors or sums of squares that overflow in raw units),
-    RankDeficientError (naming the dependent column), DegenerateModelError.
+    Preconditions: more rows than parameters, full-rank design, a response
+    whose values are not all equal and that is none of its predictors.  A
+    residual within RANK_TOLERANCE of the response's centred norm is taken
+    as an exact fit: ss_residual 0, infinite t and F.  Errors:
+    InsufficientDataError, DomainError (coefficients, standard errors or
+    sums of squares that overflow in raw units, or coefficients and standard
+    errors that underflow there), RankDeficientError (naming the dependent
+    column, or a predictor named twice through an alias),
+    DegenerateModelError (a constant response, or one that is also a
+    predictor through an alias).
     """
     return _fit_many(data, (spec,))[0]
 
@@ -133,33 +126,45 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
     """
     import numpy as np
 
-    ys = [data.resolve(spec.response) for spec in specs]
-    terms = [["intercept", *map(data.resolve, spec.predictors), y]
-             for spec, y in zip(specs, ys)]
+    terms = [["intercept", *map(data.resolve, spec.predictors), y] for spec, y
+             in zip(specs, [data.resolve(spec.response) for spec in specs])]
     n, p = data.n_rows, len(terms[0]) - 1
     if n <= p:
         raise InsufficientDataError(n, p)
-    # One array z = [1 | every column used]; a spec naming one column twice,
-    # through an alias, gets it twice.  Each column is held in units of 2**e,
-    # a power of two near its largest magnitude, so that no product or square
-    # in the fit underflows or overflows.  The scaling is exact and Householder
-    # QR is invariant under it: r², F, t and p are unit-free; beta, standard
-    # errors and sums of squares are scaled back.
-    keys = [[(name, t[1:i].count(name)) for i, name in enumerate(t) if i]
-            for t in terms]
-    index = {key: j for j, key in enumerate(dict.fromkeys(sum(keys, [])), 1)}
+    for spec, (_, *predictors, y) in zip(specs, terms):
+        if y in predictors:
+            raise DegenerateModelError(
+                f"response {spec.response!r} and predictor "
+                f"{spec.predictors[predictors.index(y)]!r} are one column")
+        for i, name in enumerate(predictors):
+            if name in predictors[:i]:
+                raise RankDeficientError(name)
+    # One array z = [1 | every column used], each column in units of 2**e, a
+    # power of two near its largest magnitude, so that no product or square
+    # in the fit underflows or overflows.  The scaling is exact and QR is
+    # invariant under it: r², F, t and p are unit-free; beta, standard errors
+    # and sums of squares are scaled back.  The same pass takes each column's
+    # centred sum of squares, set to 0 exactly when its values are all equal.
+    index = {name: j for j, name in enumerate(
+        dict.fromkeys(name for t in terms for name in t[1:]), 1)}
     z = np.empty((n, len(index) + 1), order="F")
     z[:, 0] = 1.0
-    exps = [0] * (len(index) + 1)
-    for key, j in index.items():
-        z[:, j] = data.column(key[0])
-        exps[j] = math.frexp(np.abs(z[:, j]).max())[1]
-        np.ldexp(z[:, j], -exps[j], out=z[:, j])
+    exps, ss_totals = [0] * (len(index) + 1), [0.0] * (len(index) + 1)
+    for name, j in index.items():
+        col = z[:, j]
+        col[:] = data.column(name)
+        lo, hi = col.min(), col.max()
+        exps[j] = math.frexp(max(-lo, hi))[1]
+        np.ldexp(col, -exps[j], out=col)
+        centred = col - col.mean()
+        ss_totals[j] = float(centred @ centred) if lo < hi else 0.0
     # With z = QR, the R factor of z[:, S] is that of R[:, S] (Golub & Van
     # Loan §12.5): one stacked QR factors each spec's [1 | predictors | y]
     # from R; one spec's R is triangular already and comes back unchanged.
-    # Qᵀy is each factor's last column.
-    cols = np.array([[0] + [index[key] for key in ks] for ks in keys])
+    # Each factor's last column is Qᵀy: its rows 1…p−1 square-sum to the
+    # regression sum of squares and its row p is ± the residual's norm
+    # (Golub & Van Loan §5.3).
+    cols = np.array([[0] + [index[name] for name in t[1:]] for t in terms])
     df_regression, df_residual, df_total = p - 1, n - p, n - 1
     coefficients, anovas, summaries = [], [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -178,59 +183,54 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
                 specs, terms, cols, r_augs, rinvs, dependent):
             if dep.any():
                 raise RankDeficientError(names[int(np.argmax(dep))])
-            y, y_exp = z[:, c[p]], exps[c[p]]
-            beta = rinv @ r_aug[:p, p]
-            fitted = z[:, c[:p]] @ beta
-            y_mean = float(y.mean())
-            ss_total = float(((y - y_mean) ** 2).sum())
-            ss_residual = float(((y - fitted) ** 2).sum())
-            # Computed from the fitted values, not as ss_total - ss_residual,
-            # so the decomposition identity stays a real property of the
-            # solver.
-            ss_regression = float(((fitted - y_mean) ** 2).sum())
-            del fitted  # not held while the next fit computes its own
-            scale = float((y ** 2).sum())
+            ss_total, y_exp = ss_totals[c[p]], exps[c[p]]
+            if ss_total == 0.0:
+                raise DegenerateModelError(
+                    f"response {spec.response!r} has zero variance")
+            qty = r_aug[:, p]
+            beta = rinv @ qty[:p]
+            ss_regression = float(qty[1:p] @ qty[1:p])
+            # A residual within RANK_TOLERANCE of y's centred norm: exact fit.
+            ss_residual = (float(qty[p]) ** 2 if abs(qty[p]) > RANK_TOLERANCE
+                           * math.sqrt(ss_total) else 0.0)
             ms_residual = ss_residual / df_residual
             s = math.sqrt(ms_residual)
             # sqrt(diag((XᵀX)⁻¹)) = row norms of R⁻¹, by hypot so that
             # columns of extreme scale neither underflow nor overflow;
             # initial=0.0 makes a one-entry row its absolute value.
             se = s * np.hypot.reduce(rinv, axis=1, initial=0.0)
-            # In raw units, squares beyond ~1e154 overflow: report that, not
-            # a zero variance.
+            # In raw units, squares beyond ~1e154 overflow, and a beta or SE
+            # below ~1e-308 loses precision: name either, not an inf or a 0.
+            scaled = np.array((beta, se))
+            units = np.array([y_exp - exps[j] for j in c[:p]])
+            raw = np.ldexp(scaled, units)
             raw_ss = np.ldexp((ss_regression, ss_residual, ss_total), 2 * y_exp)
-            raw_beta, raw_se = np.ldexp((beta, se),
-                                        [y_exp - exps[j] for j in c[:p]])
-            if not (np.isfinite(raw_ss).all()
-                    and np.isfinite((raw_beta, raw_se)).all()):
-                raise DomainError(f"coefficients or sums of squares of "
-                                  f"response {names[p]!r} overflow double "
-                                  "precision; rescale it")
-            if ss_total <= 1e-14 * scale:
-                raise DegenerateModelError(
-                    f"response {spec.response!r} has zero variance")
+            over = not (np.isfinite(raw_ss).all() and np.isfinite(raw).all())
+            if over or (abs(np.ldexp(raw, -units) - scaled)
+                        > RANK_TOLERANCE * abs(scaled)).any():
+                raise DomainError(
+                    f"coefficients or sums of squares of response {names[p]!r} "
+                    f"{'overflow' if over else 'underflow'} double precision; "
+                    "rescale it")
             # With zero residual variance t and F are infinite, t is 0 for a
             # zero estimate, and their tails are 0 (1): the fit is exact.
             ts = beta / se
             ts[np.isnan(ts)] = 0.0
-            coefficients.append(list(zip(names, raw_beta.tolist(),
-                                         raw_se.tolist(), ts.tolist())))
-            ms_regression = ss_regression / df_regression if df_regression else 0.0
+            coefficients.append(list(zip(names, *raw.tolist(), ts.tolist())))
             r_squared = max(1.0 - ss_residual / ss_total, 0.0)
             summaries.append(dict(
                 spec=spec, n=n, r_squared=r_squared,
                 adj_r_squared=1.0 - (1.0 - r_squared) * (n - 1) / (n - p),
                 std_error_estimate=math.ldexp(s, y_exp)))
-            ss_regression, ss_residual, ss_total = raw_ss.tolist()
+            # An intercept-only fit has df_regression = ss_regression = 0.
+            reg, res, tot = raw_ss.tolist()
             anovas.append(dict(
-                ss_regression=ss_regression, ss_residual=ss_residual,
-                ss_total=ss_total, df_regression=df_regression,
-                df_residual=df_residual, df_total=df_total,
-                ms_regression=(ss_regression / df_regression
-                               if df_regression else 0.0),
-                ms_residual=ss_residual / df_residual,
-                f_stat=(ms_regression / ms_residual if ms_residual > 0.0
-                        else math.inf)))
+                ss_regression=reg, ss_residual=res, ss_total=tot,
+                df_regression=df_regression, df_residual=df_residual,
+                df_total=df_total, ms_regression=reg / max(df_regression, 1),
+                ms_residual=res / df_residual,
+                f_stat=(ss_regression / max(df_regression, 1) / ms_residual
+                        if ms_residual > 0.0 else math.inf)))
     # The fits share their degrees of freedom: one call, one normaliser.
     t_ps = iter(_t_ps([c[3] for cs in coefficients for c in cs], df_residual))
     f_ps = (_f_ps([a["f_stat"] for a in anovas], df_regression, df_residual)

@@ -158,6 +158,67 @@ def test_small_response_fits_like_the_unscaled_one(power):
         assert (g.t_stat, g.p_value) == (r.t_stat, r.p_value)
 
 
+_DIGITS = (0, 3, 1, 4, 1, 5, 9, 2, 6, 5)
+_DIGITS_R2 = 0.35885167464114833  # r² of _DIGITS on 0..9, from Fractions
+
+
+def test_large_mean_response_is_not_constant():
+    # Every value is an exact integer and the variance is about 8: a spread
+    # of 1e-7 of the magnitude is still a spread.
+    data = make_dataset(["x", "y"], [(x, 1e8 + d) for x, d in enumerate(_DIGITS)])
+    result = fit(data, ModelSpec(response="y", predictors=("x",)))
+    assert result.r_squared == pytest.approx(_DIGITS_R2, abs=1e-7)
+
+
+def test_exact_fit_rule_measures_the_residual_against_the_centred_norm():
+    # At 1e12 the residual is a tiny fraction of |y| but not of y's spread
+    # about its mean, so the fit is not exact.
+    data = make_dataset(["x", "y"], [(x, 1e12 + d) for x, d in enumerate(_DIGITS)])
+    result = fit(data, ModelSpec(response="y", predictors=("x",)))
+    assert result.anova.ss_residual > 0.0
+    assert result.r_squared == pytest.approx(_DIGITS_R2, abs=1e-3)
+
+
+@pytest.mark.parametrize("mean", [1e4, 1e5, 1e6, 3e6])
+def test_large_mean_sums_of_squares_match_fraction_oracle(mean):
+    # ss_total comes from a centred pass over the data, ss_residual from the
+    # factor; a large mean costs the latter about eps * mean / noise.
+    rng = random.Random(int(mean))
+    for _ in range(3):
+        noisy, _ = random_dataset(rng, 40, 2)
+        rows = [(x0, x1, mean + y) for x0, x1, y in noisy.rows]
+        betas = ols_normal_equations([r[:2] for r in rows], [r[2] for r in rows])
+        ys = [Fraction(r[2]) for r in rows]
+        y_mean = sum(ys) / len(ys)
+        ss_total = sum((y - y_mean) ** 2 for y in ys)
+        ss_residual = sum((y - betas[0] - betas[1] * Fraction(x0)
+                           - betas[2] * Fraction(x1)) ** 2
+                          for (x0, x1, _), y in zip(rows, ys))
+        result = fit(make_dataset(["x0", "x1", "y"], rows),
+                     ModelSpec(response="y", predictors=("x0", "x1")))
+        a = result.anova
+        assert a.ss_total == pytest.approx(float(ss_total), rel=1e-14)
+        assert a.ss_residual == pytest.approx(float(ss_residual), rel=1e-9)
+        assert result.r_squared == pytest.approx(
+            float(1 - ss_residual / ss_total), rel=1e-9)
+
+
+def test_coefficient_below_the_double_range_is_named_not_zero():
+    # x's raw beta and standard error are about 1e-600: no double holds
+    # them, and 0.0 with t = 2.09 would be a wrong answer.
+    data = make_dataset(["x", "y"], [(x * 1e300, y * 1e-300) for x, y in
+                                     zip((1, 5, 8, 12, 15), (2, 1, 4, 3, 5))])
+    with pytest.raises(DomainError, match="response 'y' underflow"):
+        fit(data, ModelSpec(response="y", predictors=("x",)))
+
+
+def test_a_response_that_is_its_own_predictor_through_an_alias_is_degenerate():
+    with pytest.raises(DegenerateModelError) as exc:
+        fit(builtin_table1(), ModelSpec("LOC", ("NOL", "NOC")))
+    assert "'LOC'" in str(exc.value) and "'NOL'" in str(exc.value)
+    assert exc.value.code == "DEGENERATE_MODEL"
+
+
 @pytest.mark.parametrize("value", [0.0, 1e-9])
 def test_zero_and_small_constant_responses_are_degenerate(value):
     data = make_dataset(["x", "y"], [(i, value) for i in range(10)])
@@ -455,8 +516,9 @@ def test_interchange_matches_exact_oracle(seed):
 
 
 def test_interchange_peak_memory_is_that_of_one_fit():
-    # The four fits share one n-row array and one factorization, and keep
-    # their n-length sums per fit: the peak stays near one fit's.
+    # The four fits share one n-row array and one factorization, and read
+    # their sums of squares off the small factors: the peak stays near one
+    # fit's.
     data = size_table(7, 50_000)
     fit_all_interchange(data)  # imports numpy and warms its caches
     peaks = []
@@ -500,7 +562,8 @@ def test_a_column_named_twice_through_an_alias_is_two_columns():
     with pytest.raises(RankDeficientError) as exc:
         fit(data, ModelSpec("NOM", ("NOL", "LOC")))
     assert exc.value.column == "NOL"
-    assert fit(data, ModelSpec("LOC", ("NOL", "NOC"))).r_squared == 1.0
+    with pytest.raises(DegenerateModelError, match="'LOC' and predictor 'NOL'"):
+        fit(data, ModelSpec("LOC", ("NOL", "NOC")))
 
 
 def test_log_transform_values_and_names():
