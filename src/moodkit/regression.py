@@ -139,25 +139,21 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
         for i, name in enumerate(predictors):
             if name in predictors[:i]:
                 raise RankDeficientError(name)
-    # One array z = [1 | every column used], each column in units of 2**e, a
-    # power of two near its largest magnitude, so that no product or square
-    # in the fit underflows or overflows.  The scaling is exact and QR is
-    # invariant under it: r², F, t and p are unit-free; beta, standard errors
-    # and sums of squares are scaled back.  The same pass takes each column's
-    # centred sum of squares, set to 0 exactly when its values are all equal.
+    # One array z = [1 | every column used], each column, the intercept too,
+    # in units of 2**e, a power of two near its largest magnitude, so that no
+    # product or square in the fit underflows or overflows.  The scaling is
+    # exact and QR is invariant under it: r², F, t and p are unit-free; beta,
+    # standard errors and sums of squares are scaled back.
     index = {name: j for j, name in enumerate(
         dict.fromkeys(name for t in terms for name in t[1:]), 1)}
     z = np.empty((n, len(index) + 1), order="F")
     z[:, 0] = 1.0
-    exps, ss_totals = [0] * (len(index) + 1), [0.0] * (len(index) + 1)
     for name, j in index.items():
-        col = z[:, j]
-        col[:] = data.column(name)
-        lo, hi = col.min(), col.max()
-        exps[j] = math.frexp(max(-lo, hi))[1]
-        np.ldexp(col, -exps[j], out=col)
-        centred = col - col.mean()
-        ss_totals[j] = float(centred @ centred) if lo < hi else 0.0
+        z[:, j] = data.column(name)
+    lo, hi = z.min(axis=0), z.max(axis=0)
+    exps = np.frexp(np.maximum(-lo, hi))[1]
+    np.ldexp(z, -exps, out=z)
+    exps = exps.tolist()
     # With z = QR, the R factor of z[:, S] is that of R[:, S] (Golub & Van
     # Loan §12.5): one stacked QR factors each spec's [1 | predictors | y]
     # from R; one spec's R is triangular already and comes back unchanged.
@@ -169,6 +165,10 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
     coefficients, anovas, summaries = [], [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r0 = np.linalg.qr(z, mode="r")
+        # Factored, z is free: centred in place, each column squares to its
+        # total sum of squares, set to 0 exactly when its values are equal.
+        z -= z.mean(axis=0)
+        ss_totals = np.where(lo < hi, np.square(z, out=z).sum(0), 0.0).tolist()
         r_augs = np.linalg.qr(r0[:, cols].swapaxes(0, 1), mode="r")
         r = r_augs[:, :p, :p]
         # Column j of R has the norm of column j of X, so each column is
