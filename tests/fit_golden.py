@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import starmap
 from pathlib import Path
 
 from moodkit import Dataset, ModelSpec, MoodkitError, builtin_table1, fit
 
-from tests.test_regression import SIZES, interchange_specs, size_table
+from tests.test_regression import (
+    _INTERCHANGE_TABLES, SIZES, interchange_specs, make_dataset, size_table,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "fit_golden.json"
 SEED = 2101
@@ -39,25 +42,16 @@ _ROWS = (5, 6, 8, 12, 20, 33, 60, 100)
 _FACTORS = ((2.0**-1060, "2**-1060"), (2.0**-1000, "2**-1000"),
             (2.0**900, "2**900"), (1e300, "1e300"), (1e-300, "1e-300"),
             (1e150, "1e150"), (1e-200, "1e-200"), (None, "to 1.5e308"))
-_DEGENERATE = {
-    "zero NOM": lambda nol, noc, nom, noa: (nol, noc, 0.0, noa),
-    "constant NOL": lambda nol, noc, nom, noa: (5e4, noc, nom, noa),
-    "NOA = 2 NOM": lambda nol, noc, nom, noa: (nol, noc, nom, 2 * nom),
-    "NOA = NOC + NOM": lambda nol, noc, nom, noa: (nol, noc, nom, noc + nom),
-}
-
-
-def _table(rows) -> Dataset:
-    return Dataset(columns=SIZES, rows=tuple(map(tuple, rows)))
+_DEGENERATE = ("zero NOM", "constant NOL", "NOA = 2 NOM", "NOA = NOC + NOM")
 
 
 def _scaled(data: Dataset, column: int, factor) -> Dataset:
     values = data.column(SIZES[column])
     if factor is None:
         factor = 1.5e308 / max(map(abs, values))
-    return _table(zip(*(data.column(c) if j != column else
-                        [v * factor for v in values]
-                        for j, c in enumerate(SIZES))))
+    return make_dataset(SIZES, zip(*(data.column(c) if j != column else
+                                     [v * factor for v in values]
+                                     for j, c in enumerate(SIZES))))
 
 
 def tables(seed: int = SEED) -> list[tuple[str, Dataset]]:
@@ -65,9 +59,9 @@ def tables(seed: int = SEED) -> list[tuple[str, Dataset]]:
     plain = [("table1", builtin_table1())] + [
         (f"seed {seed + k}, {rows} rows", size_table(seed + k, rows))
         for k in range(23) for rows in [_ROWS[k % len(_ROWS)]]]
-    degenerate = [(f"{label}, {name}", _table(change(*row) for row in data.rows))
-                  for label, data in (plain[0], plain[6])
-                  for name, change in _DEGENERATE.items()]
+    degenerate = [(f"{label}, {name}", make_dataset(
+                       SIZES, starmap(_INTERCHANGE_TABLES[name], data.rows)))
+                  for label, data in (plain[0], plain[6]) for name in _DEGENERATE]
     scaled = [(f"{label}, {SIZES[(k + i) % 4]} x {name}",
                _scaled(data, (k + i) % 4, factor))
               for k, (label, data) in enumerate(plain[:20])
