@@ -3,18 +3,24 @@
 Deliberately written with different algorithms from the package: metrics by
 explicit inheritance-path enumeration with exact rationals, least squares by
 normal equations over Fractions, distribution tails by adaptive quadrature
-of the density (normalized with math.lgamma, not the package kernel).
+of the density (normalized with math.lgamma, not the package kernel), and
+CSV reading one field at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
 from scipy.integrate import quad
 
-from moodkit import ClassModel, MethodKind, Visibility
+from moodkit import (
+    ClassModel, MalformedRowError, MethodKind, NonNumericError, Visibility,
+)
+from moodkit.dataset import COLUMN_ALIASES
 
 
 # ---------------------------------------------------------------- metrics
@@ -225,3 +231,54 @@ def f_upper_quad(f: float, df1: int, df2: int) -> float:
 
     val, _ = quad(density, f, math.inf, limit=200)
     return val
+
+
+# ---------------------------------------------------------------- dataset
+
+def read_csv_fields(source) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
+    """The column names and column values of read_csv, converting and
+    checking one field at a time in row order, or the error it raises."""
+    lines = iter(source)
+    first = [line.removeprefix("\ufeff") if isinstance(line, str) else line
+             for line in itertools.islice(lines, 1)]
+    reader = csv.reader(itertools.chain(first, lines))
+    try:
+        return _read_fields(reader)
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, f"unreadable CSV: {exc}") from None
+
+
+def _read_fields(reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedRowError(1, "input is empty, expected a header line") from None
+    columns = tuple(name.strip() for name in header or [""])
+    seen: set[str] = set()
+    for name in columns:
+        if not name:
+            raise MalformedRowError(1, "header contains an empty column name")
+        if name in seen:
+            raise MalformedRowError(1, f"duplicate column name {name!r}")
+        if COLUMN_ALIASES.get(name) in seen:
+            raise MalformedRowError(
+                1, f"columns {COLUMN_ALIASES[name]!r} and {name!r} are aliases "
+                "of one measure")
+        seen.add(name)
+    values: list[list[float]] = [[] for _ in columns]
+    for fields in reader:
+        line = reader.line_num
+        if not fields:
+            continue
+        if len(fields) != len(columns):
+            raise MalformedRowError(
+                line, f"expected {len(columns)} fields, got {len(fields)}")
+        for name, text, column in zip(columns, fields, values):
+            try:
+                v = float(text)
+            except ValueError:
+                raise NonNumericError(line, name, text) from None
+            if not math.isfinite(v):
+                raise NonNumericError(line, name, text)
+            column.append(v)
+    return columns, tuple(map(tuple, values))

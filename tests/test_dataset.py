@@ -1,16 +1,20 @@
+import csv
 import io
 import math
 import random
+from array import array
 from xml.etree import ElementTree
 
 import pytest
 
 from moodkit import (
-    Dataset, DomainError, MalformedRowError, NonNumericError,
+    Dataset, DomainError, MalformedRowError, MoodkitError, NonNumericError,
     NonPositiveValueError, ScatterSeries, UnknownColumnError, builtin_table1,
     read_csv, scatter, svg_scatter, write_csv,
 )
 from moodkit.dataset import TABLE1_COLUMN_SUMS
+
+from tests.oracles import read_csv_fields
 
 
 def test_builtin_shape_and_rows():
@@ -321,3 +325,104 @@ def test_scatter_series_stores_float_pairs():
     series = ScatterSeries("x", "y", [[1, 2], (3.5, -4)])
     assert series.points == ((1.0, 2.0), (3.5, -4.0))
     assert all(type(v) is float for point in series.points for v in point)
+
+
+# One fault in a data row: a field float() rejects, one it reads as not
+# finite, a row of the wrong width, a bare carriage return inside a field,
+# and a field over the CSV reader's size limit.
+_FAULTS = ("x", "inf", "nan", "1e999", "width", "cr", "oversized")
+
+
+def _field(rng) -> str:
+    """A field float() takes, spelled as a CSV file may spell it."""
+    return rng.choice([
+        str(rng.randint(-10**6, 10**6)), repr(rng.uniform(-1e9, 1e9)),
+        repr(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-300, 300)),
+        "-0.0", "-0", "0", " 7 ", "+3.5", "-.5", "1_000", "1e308", "5e-324"])
+
+
+def _faulty(rng, fields: list[str], kind: str) -> list[str]:
+    if kind == "width":
+        return fields[:-1] if len(fields) > 1 and rng.random() < 0.5 else fields + ["1"]
+    fields = list(fields)
+    fields[rng.randrange(len(fields))] = {
+        "cr": "1\r2", "oversized": "9" * (csv.field_size_limit() + 1),
+    }.get(kind, kind)
+    return fields
+
+
+def _csv_case(rng, n_rows: int, faults: dict[int, str]) -> tuple[str, list[int]]:
+    """CSV text of n_rows random rows, with faults {row: kind} injected, and
+    the line on which each row starts.  The text may open with a byte-order
+    mark and a quoted two-line name, and holds a few blank lines."""
+    width = rng.randint(1, 5)
+    names = [f"c{j}" for j in range(width)]
+    if rng.random() < 0.5:
+        names[rng.randrange(width)] = '"two\nlines"'
+    end = rng.choice(["\n", "\r\n"])
+    blanks = set(rng.sample(range(n_rows + 1), 3))
+    text = ("\ufeff" if rng.random() < 0.5 else "") + ",".join(names) + end
+    starts = []
+    for i in range(n_rows + 1):
+        if i in blanks:
+            text += end
+        if i == n_rows:
+            break
+        fields = [_field(rng) for _ in range(width)]
+        if i in faults:
+            fields = _faulty(rng, fields, faults[i])
+        starts.append(text.count("\n") + 1)
+        text += ",".join(fields) + end
+    return text, starts
+
+
+def _outcome(read, text: str, newline: str):
+    """read's columns, row count and the bits of every value, or the type
+    and message of the error it raises."""
+    try:
+        columns, values = read(io.StringIO(text, newline=newline))
+    except MoodkitError as exc:
+        return type(exc), str(exc)
+    return columns, len(values[0]), [array("d", v).tobytes() for v in values]
+
+
+def _read_columns(source):
+    data = read_csv(source)
+    assert all(len(data.column(name)) == data.n_rows for name in data.columns)
+    return data.columns, tuple(map(data.column, data.columns))
+
+
+def test_read_csv_matches_the_field_by_field_oracle():
+    # Chunk edges at 1,024 rows; lines split on "\n" only, and also on a
+    # bare carriage return.
+    rng = random.Random(2301)
+    for n_rows in (1023, 1024, 1025, 2049):
+        for kind in (None, *_FAULTS):
+            row = rng.choice([0, 1022, 1023, 1024, n_rows - 1, rng.randrange(n_rows)])
+            text, _ = _csv_case(rng, n_rows, {min(row, n_rows - 1): kind} if kind else {})
+            for newline in ("\n", ""):
+                want = _outcome(read_csv_fields, text, newline)
+                assert _outcome(_read_columns, text, newline) == want, (n_rows, kind)
+                assert kind or want[1] == n_rows
+
+
+def test_read_csv_reports_the_earlier_of_two_faults():
+    rng = random.Random(2302)
+    first_kinds = [kind for kind in _FAULTS if kind != "cr"]
+    for _ in range(12):
+        n_rows = rng.choice([1025, 2049])
+        first, second = sorted(rng.sample(range(n_rows), 2))
+        text, starts = _csv_case(rng, n_rows, {first: rng.choice(first_kinds),
+                                               second: rng.choice(_FAULTS)})
+        for newline in ("\n", ""):
+            want = _outcome(read_csv_fields, text, newline)
+            assert _outcome(_read_columns, text, newline) == want
+            with pytest.raises((MalformedRowError, NonNumericError)) as exc:
+                read_csv(io.StringIO(text, newline=newline))
+            assert exc.value.line == starts[first]
+
+
+def test_read_csv_names_a_bad_field_before_a_later_csv_error():
+    with pytest.raises(NonNumericError) as exc:
+        read_csv(["a,b\n", "1,x\n", "1\r2,3\n"])
+    assert (exc.value.line, exc.value.column, exc.value.value) == (2, "b", "x")
