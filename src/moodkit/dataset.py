@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, Collection, Iterable, Sequence, TextIO
@@ -33,10 +34,22 @@ def find_name(name: str, names: Collection[str],
     raise missing(name)
 
 
+def _packed(values: array, width: int) -> tuple[bytes, ...]:
+    """Row-major doubles as Dataset stores them: each column as bytes of
+    native doubles, 8 per value."""
+    return tuple(values[j::width].tobytes() for j in range(width))
+
+
+def _doubles(packed: bytes) -> memoryview:
+    """The values of a packed column, decoded as each is read."""
+    return memoryview(packed).cast("d")
+
+
 @dataclass(frozen=True, init=False)
 class Dataset:
-    """Immutable table of finite floats, stored by column, with a row count
-    and a provenance tag.  ``rows`` is rebuilt from the columns on each read.
+    """Immutable table of finite floats, stored by column as packed doubles,
+    with a row count and a provenance tag.  ``rows`` and ``column`` decode
+    the stored values on each read.  Equality and hash take -0.0 as 0.0.
 
     A column name that is not a str raises TypeError.  Each value goes
     through float(), which raises TypeError or ValueError for one it does
@@ -45,7 +58,7 @@ class Dataset:
     """
 
     columns: tuple[str, ...]
-    _values: tuple[tuple[float, ...], ...]
+    _values: tuple[bytes, ...]
     n_rows: int
     provenance: str
 
@@ -69,30 +82,49 @@ class Dataset:
             for name, v in zip(columns, row):
                 if not math.isfinite(v):
                     raise ValueError(f"non-finite value {v!r} in column {name!r}")
-        # A table without rows still has its (empty) columns.
-        self.__dict__.update(columns=columns, n_rows=len(rows),
-                             _values=tuple(zip(*rows)) or ((),) * width,
-                             provenance=provenance)
+        self.__dict__.update(
+            columns=columns, n_rows=len(rows), provenance=provenance,
+            _values=_packed(array("d", itertools.chain.from_iterable(rows)), width))
 
     @classmethod
-    def _of_columns(cls, columns: tuple[str, ...],
-                    values: tuple[tuple[float, ...], ...], n_rows: int,
-                    provenance: str) -> Dataset:
-        """Unchecked: ``values`` holds n_rows finite floats per column."""
+    def _of_rows(cls, columns: tuple[str, ...], values: array, n_rows: int,
+                 provenance: str) -> Dataset:
+        """Unchecked: ``values`` holds n_rows rows of finite doubles, one
+        per column, row after row."""
         data = cls.__new__(cls)
-        data.__dict__.update(columns=columns, _values=values, n_rows=n_rows,
-                             provenance=provenance)
+        data.__dict__.update(columns=columns, n_rows=n_rows, provenance=provenance,
+                             _values=_packed(values, len(columns)))
         return data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Equal bytes are equal values; unequal ones may differ by the sign
+        # of a zero, which a decoded comparison ignores, as tuples did.
+        return ((self.columns, self.n_rows, self.provenance)
+                == (other.columns, other.n_rows, other.provenance)
+                and all(a == b or _doubles(a) == _doubles(b)
+                        for a, b in zip(self._values, other._values)))
+
+    def __hash__(self):
+        # hash(-0.0) == hash(0.0), so datasets equal under == hash alike.
+        return hash((self.columns, tuple(map(tuple, map(_doubles, self._values))),
+                     self.n_rows, self.provenance))
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(zip(*self._values)) or ((),) * self.n_rows
+        return tuple(zip(*map(_doubles, self._values))) or ((),) * self.n_rows
 
     def resolve(self, name: str) -> str:
         """Map a requested column name to the stored one, honoring aliases."""
         return find_name(name, self.columns, UnknownColumnError)
 
     def column(self, name: str) -> tuple[float, ...]:
+        """The named column's values, aliases honoured, decoded on each call."""
+        return tuple(_doubles(self._packed_column(name)))
+
+    def _packed_column(self, name: str) -> bytes:
+        """The named column as stored: bytes of native doubles."""
         return self._values[self.columns.index(self.resolve(name))]
 
 
@@ -167,6 +199,10 @@ def read_csv(source: Iterable[str], provenance: str = "csv") -> Dataset:
         raise MalformedRowError(reader.line_num, f"unreadable CSV: {exc}") from None
 
 
+# Records converted in one bulk call; the last chunk may be shorter.
+_CHUNK = 1024
+
+
 def _read_records(reader, provenance: str) -> Dataset:
     try:
         header = next(reader)
@@ -185,24 +221,60 @@ def _read_records(reader, provenance: str) -> Dataset:
                 1, f"columns {COLUMN_ALIASES[name]!r} and {name!r} are aliases "
                 "of one measure")
         seen.add(name)
-    values: list[list[float]] = [[] for _ in columns]
-    for fields in reader:
-        line = reader.line_num
-        if not fields:
-            continue
+    # Row-major doubles; each record's line is kept for an error message.
+    values = array("d")
+    records: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        for fields in reader:
+            if fields:
+                records.append(fields)
+                lines.append(reader.line_num)
+                if len(records) == _CHUNK:
+                    _convert(records, lines, columns, values)
+    except csv.Error:
+        # A bad field before the text the reader rejects is named first.
+        _convert(records, lines, columns, values)
+        raise
+    _convert(records, lines, columns, values)
+    return Dataset._of_rows(columns, values, len(values) // len(columns),
+                            provenance)
+
+
+def _convert(records: list[list[str]], lines: list[int],
+             columns: tuple[str, ...], values: array) -> None:
+    """Move the records' fields to the end of values as finite doubles, in
+    one bulk conversion, and empty records and lines; or raise for the
+    first bad field in row order."""
+    if set(map(len, records)) <= {len(columns)}:
+        try:
+            chunk = list(map(float, itertools.chain.from_iterable(records)))
+        except ValueError:
+            pass
+        else:
+            if all(map(math.isfinite, chunk)):
+                values.fromlist(chunk)
+                records.clear()
+                lines.clear()
+                return
+    _raise_first_fault(records, lines, columns)
+
+
+def _raise_first_fault(records: list[list[str]], lines: list[int],
+                       columns: tuple[str, ...]) -> None:
+    """Raise for the first record of the wrong width or field that is not a
+    finite number; _convert calls it once a chunk has one."""
+    for fields, line in zip(records, lines):
         if len(fields) != len(columns):
             raise MalformedRowError(
                 line, f"expected {len(columns)} fields, got {len(fields)}")
-        for name, text, column in zip(columns, fields, values):
+        for name, text in zip(columns, fields):
             try:
                 v = float(text)
             except ValueError:
                 raise NonNumericError(line, name, text) from None
             if not math.isfinite(v):
                 raise NonNumericError(line, name, text)
-            column.append(v)
-    return Dataset._of_columns(columns, tuple(map(tuple, values)),
-                               len(values[0]), provenance)
 
 
 def _render_value(v: float) -> str:

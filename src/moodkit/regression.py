@@ -14,7 +14,9 @@ by the fits alone, so the rest of the package loads without it."""
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -149,7 +151,7 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
     z = np.empty((n, len(index) + 1), order="F")
     z[:, 0] = 1.0
     for name, j in index.items():
-        z[:, j] = data.column(name)
+        z[:, j] = np.frombuffer(data._packed_column(name))
     lo, hi = z.min(axis=0), z.max(axis=0)
     exps = np.frexp(np.maximum(-lo, hi))[1]
     np.ldexp(z, -exps, out=z)
@@ -283,5 +285,6 @@ def log_transform(data: Dataset, base10: bool = True) -> Dataset:
     """
     suffix = "_log10" if base10 else "_ln"
     values = log_columns(data, data.columns, math.log10 if base10 else math.log)
-    return Dataset._of_columns(tuple(c + suffix for c in data.columns), values,
-                               data.n_rows, data.provenance + suffix)
+    rows = array("d", itertools.chain.from_iterable(zip(*values)))
+    return Dataset._of_rows(tuple(c + suffix for c in data.columns), rows,
+                            data.n_rows, data.provenance + suffix)

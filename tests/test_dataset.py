@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 from array import array
 from xml.etree import ElementTree
 
@@ -408,6 +409,7 @@ def test_read_csv_matches_the_field_by_field_oracle():
 
 def test_read_csv_reports_the_earlier_of_two_faults():
     rng = random.Random(2302)
+    # Split at a bare carriage return, a one-column row is two numbers.
     first_kinds = [kind for kind in _FAULTS if kind != "cr"]
     for _ in range(12):
         n_rows = rng.choice([1025, 2049])
@@ -426,3 +428,36 @@ def test_read_csv_names_a_bad_field_before_a_later_csv_error():
     with pytest.raises(NonNumericError) as exc:
         read_csv(["a,b\n", "1,x\n", "1\r2,3\n"])
     assert (exc.value.line, exc.value.column, exc.value.value) == (2, "b", "x")
+
+
+def test_dataset_equality_takes_minus_zero_as_zero():
+    minus, plus = Dataset(["a"], [[-0.0]]), Dataset(["a"], [[0.0]])
+    assert minus == plus and hash(minus) == hash(plus)
+    assert read_csv(["a\n", "-0\n"]) == Dataset(["a"], [[0.0]], "csv")
+    assert minus.column("a") == (-0.0,)
+    assert math.copysign(1.0, minus.column("a")[0]) == -1.0
+    assert math.copysign(1.0, minus.rows[0][0]) == -1.0
+    assert minus != Dataset(["a"], [[5e-324]])
+    assert minus != Dataset(["b"], [[0.0]]) and minus != Dataset(["a"], [])
+    assert minus != Dataset(["a"], [[0.0]], "csv")
+
+
+def test_read_csv_memory_is_near_its_payload():
+    # Held: 8 bytes per value.  Peak: those, the row-major values they are
+    # sliced from, and one chunk of records.  tracemalloc counts the same
+    # bytes on any machine.
+    rng = random.Random(2303)
+    n_rows, width = 50_000, 4
+    lines = ["NOL,NOC,NOM,NOA\n"] + [
+        ",".join(str(rng.randint(1, 10**6)) for _ in range(width)) + "\n"
+        for _ in range(n_rows)]
+    payload = 8 * n_rows * width
+    tracemalloc.start()
+    try:
+        data = read_csv(lines)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.n_rows == n_rows
+    assert held <= 1.1 * payload and peak <= 3 * payload, (held / payload,
+                                                            peak / payload)
