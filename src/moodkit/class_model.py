@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter, countOf
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidModelError, UnknownClassError
@@ -262,6 +263,7 @@ def validate(model: ClassModel) -> list[Diagnostic]:
     if len(model) == 0:
         return [Diagnostic(EMPTY_MODEL, "model declares no classes")]
 
+    position = model._position
     # Per feature name, the bitmask of the classes that declare it.  A name
     # whose mask already holds this class's bit is a duplicate.
     method_declarers: dict[str, int] = {}
@@ -287,12 +289,12 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                     SELF_REFERENCE, f"{decl.name!r} lists itself {where}", decl.name))
         for names, verb in ((decl.parents, "extends"), (decl.uses, "uses")):
             for name in names:
-                if name != decl.name and name not in model:
+                if name != decl.name and name not in position:
                     diags.append(Diagnostic(
                         UNRESOLVED_NAME,
                         f"{decl.name!r} {verb} unknown class {name!r}", decl.name))
         for m in decl.methods:
-            if m.override_target is not None and m.override_target[0] not in model:
+            if m.override_target is not None and m.override_target[0] not in position:
                 diags.append(Diagnostic(
                     UNRESOLVED_NAME,
                     f"{decl.name!r}.{m.name} overrides method of unknown class "
@@ -531,22 +533,29 @@ def tallies(model: ClassModel, name: str) -> ClassTallies:
     decl = model.get(name)
     index = _valid_index(model)
     i = model._position[name]
-    m_v = sum(1 for m in decl.methods if m.visibility is Visibility.VISIBLE)
-    m_h = len(decl.methods) - m_v
-    m_n = sum(1 for m in decl.methods if m.kind is MethodKind.NEW)
-    m_o = len(decl.methods) - m_n
-    a_v = sum(1 for a in decl.attributes if a.visibility is Visibility.VISIBLE)
-    a_h = len(decl.attributes) - a_v
-    m_d = len(decl.methods)
-    a_d = len(decl.attributes)
+    m_d, m_h, m_n, a_d, a_h = _declared(decl)
     m_i = index.inherited_methods[i]
     a_i = index.inherited_attrs[i]
     return ClassTallies(
-        m_v=m_v, m_h=m_h, m_d=m_d, m_i=m_i, m_a=m_d + m_i,
-        m_n=m_n, m_o=m_o,
-        a_v=a_v, a_h=a_h, a_d=a_d, a_i=a_i, a_a=a_d + a_i,
+        m_v=m_d - m_h, m_h=m_h, m_d=m_d, m_i=m_i, m_a=m_d + m_i,
+        m_n=m_n, m_o=m_d - m_n,
+        a_v=a_d - a_h, a_h=a_h, a_d=a_d, a_i=a_i, a_a=a_d + a_i,
         dc=index.descendants[i],
     )
+
+
+_visibility = attrgetter("visibility")
+_kind = attrgetter("kind")
+
+
+def _declared(decl: ClassDecl) -> tuple[int, int, int, int, int]:
+    """Defined, hidden and new methods, then defined and hidden attributes,
+    of one class.  A feature that is not visible is hidden, and a method
+    that is not new overrides: tallies and the metrics both count so."""
+    m, a = decl.methods, decl.attributes
+    return (len(m), len(m) - countOf(map(_visibility, m), Visibility.VISIBLE),
+            countOf(map(_kind, m), MethodKind.NEW),
+            len(a), len(a) - countOf(map(_visibility, a), Visibility.VISIBLE))
 
 
 def descendants(model: ClassModel, name: str) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .class_model import ClassModel, _valid_index, tallies
+from .class_model import ClassModel, _declared, _valid_index
 
 # The six ratio names, in report order.
 RATIOS = ("mhf", "ahf", "mif", "aif", "pf", "cf")
@@ -83,19 +83,25 @@ def _ratio(num: int, den: int, reason: str) -> MetricValue:
 
 
 def _tally_ratios(model: ClassModel) -> dict[str, MetricValue]:
-    """The five tally-based ratios, from one pass over the per-class tallies."""
-    ts = [tallies(model, decl.name) for decl in model]
+    """The five tally-based ratios, from model-wide sums: one pass over the
+    declarations, and the index's inherited and descendant counts."""
+    index = _valid_index(model)
+    m_d = m_h = m_n = a_d = a_h = opportunities = 0
+    for decl, dc in zip(model, index.descendants):
+        defined, hidden, new, attrs, hidden_attrs = _declared(decl)
+        m_d += defined
+        m_h += hidden
+        m_n += new
+        a_d += attrs
+        a_h += hidden_attrs
+        opportunities += new * dc
+    m_i, a_i = sum(index.inherited_methods), sum(index.inherited_attrs)
     return {
-        "mhf": _ratio(sum(t.m_h for t in ts), sum(t.m_d for t in ts),
-                      "no defined methods"),
-        "ahf": _ratio(sum(t.a_h for t in ts), sum(t.a_d for t in ts),
-                      "no defined attributes"),
-        "mif": _ratio(sum(t.m_i for t in ts), sum(t.m_a for t in ts),
-                      "no available methods"),
-        "aif": _ratio(sum(t.a_i for t in ts), sum(t.a_a for t in ts),
-                      "no available attributes"),
-        "pf": _ratio(sum(t.m_o for t in ts), sum(t.m_n * t.dc for t in ts),
-                     "no polymorphic opportunities"),
+        "mhf": _ratio(m_h, m_d, "no defined methods"),
+        "ahf": _ratio(a_h, a_d, "no defined attributes"),
+        "mif": _ratio(m_i, m_d + m_i, "no available methods"),
+        "aif": _ratio(a_i, a_d + a_i, "no available attributes"),
+        "pf": _ratio(m_d - m_n, opportunities, "no polymorphic opportunities"),
     }
 
 

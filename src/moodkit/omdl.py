@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .class_model import (
-    AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility,
+    AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility, _set,
 )
 from .errors import ParseError
 
@@ -75,10 +75,25 @@ class OmdlDocument:
     ``spans`` maps ("class", name), ("method", class, name) and
     ("attribute", class, name) keys to (line, column) of the declaring token.
     Documents hash by their model alone and compare by model and spans.
+
+    A document from ``parse`` finds its spans on their first read, with one
+    more scan of its normalised source, which it holds until then.
     """
 
     model: ClassModel
     spans: dict = field(hash=False)
+
+    def __getattr__(self, name: str):
+        # Only "spans" of a parsed document can be missing.  Two threads
+        # racing here find equal spans, and either may be kept.
+        source = self.__dict__.get("_source")
+        if name != "spans" or source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}", name=name, obj=self)
+        spans = _read(source, record=True)
+        _set(self, "spans", spans)
+        self.__dict__.pop("_source", None)
+        return spans
 
 
 def parse(source: Union[str, bytes]) -> OmdlDocument:
@@ -102,6 +117,15 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             raise ParseError((line, col), "valid UTF-8",
                              f"byte 0x{source[exc.start]:02x}") from None
     source = source.removeprefix("\ufeff")
+    doc = OmdlDocument.__new__(OmdlDocument)
+    _set(doc, "model", ClassModel(_read(source, record=False)))
+    _set(doc, "_source", source)
+    return doc
+
+
+def _read(source: str, record: bool):
+    """The class declarations of normalised source; with ``record``, the
+    spans of a source that parsed, and no declarations."""
     # Compiled on the first parse, and kept in re's cache, not on import:
     # every CLI subcommand imports this module.
     header, member, comma = map(re.compile, (_HEADER, _MEMBER, _COMMA))
@@ -149,35 +173,42 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
     # cannot pass there, or the pattern would have matched.
     classes: list[ClassDecl] = []
     spans: dict = {}
+    names: set[str] = set()
     pos = 0
     while True:
         h = header.match(source, pos)
-        if h is None or ("class", h[1]) in spans:
+        if h is None or h[1] in names:
             scan = _SCAN.finditer(source, pos)
             if (m := next(scan))[1] != "class":
                 fail(m, "'class'")
             ident(m := next(scan))
-            if ("class", m[1]) in spans:
+            if m[1] in names:
                 fail(m, "a class name not declared before")
             if (m := next(scan))[1] == "extends":
                 m = ident_list()
             fail(m, "'{'")
         cls = h[1]
         if cls is None:
-            return OmdlDocument(model=ClassModel(classes), spans=spans)
-        spans[("class", cls)] = where(h.start(1))
+            return spans if record else classes
+        names.add(cls)
+        if record:
+            spans[("class", cls)] = where(h.start(1))
         methods, attributes, uses = [], [], []
         pos = h.end()
         while m := member.match(source, pos):
             pos = m.end()
             word, name, target_cls, target, attribute, used = m.groups()
             if name:
-                spans[("method", cls, name)] = where(m.start(2))
-                methods.append(MethodDecl._parsed(
-                    name, _VISIBILITY[word], target_cls and (target_cls, target)))
+                if record:
+                    spans[("method", cls, name)] = where(m.start(2))
+                else:
+                    methods.append(MethodDecl._parsed(
+                        name, _VISIBILITY[word], target_cls and (target_cls, target)))
             elif attribute:
-                spans[("attribute", cls, attribute)] = where(m.start(5))
-                attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
+                if record:
+                    spans[("attribute", cls, attribute)] = where(m.start(5))
+                else:
+                    attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
             elif used:
                 uses += comma.split(used)
             else:
@@ -200,9 +231,10 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             else:
                 fail(m, "'method', 'attribute', 'uses', or '}'")
             fail(m, "';'")
-        classes.append(ClassDecl._parsed(
-            cls, () if h[2] is None else tuple(comma.split(h[2])),
-            tuple(methods), tuple(attributes), tuple(uses)))
+        if not record:
+            classes.append(ClassDecl._parsed(
+                cls, () if h[2] is None else tuple(comma.split(h[2])),
+                tuple(methods), tuple(attributes), tuple(uses)))
 
 
 def _identifier(name: str) -> str:

@@ -379,6 +379,25 @@ def test_queries_share_one_index_build(monkeypatch):
     assert builds == [model]
 
 
+def test_validate_reads_names_off_the_position_map(monkeypatch):
+    # One lookup per parent, use and override target: a Python-level
+    # ClassModel.__contains__ call for each was a cost of every pass.
+    rng = random.Random(2424)
+    models = [make_model(rng, max_classes=10) for _ in range(50)]
+    models.append(ClassModel([
+        cls("A", parents=("Ghost",), uses=("A", "Nowhere"),
+            methods=(m("f", target=("Phantom", "f")),)),
+        cls("B", parents=("A",), uses=("A",))]))
+    want = [validate(model) for model in models]
+    assert UNRESOLVED_NAME in [d.code for d in want[-1]]
+
+    def no_contains(model, name):
+        raise AssertionError("validate called ClassModel.__contains__")
+
+    monkeypatch.setattr(ClassModel, "__contains__", no_contains)
+    assert [validate(model) for model in models] == want
+
+
 def test_model_is_a_hashable_read_only_value():
     decls = [cls("A"), cls("B", parents=("A",))]
     model = ClassModel(decls)

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -339,3 +341,104 @@ def test_chain_cost_grows_linearly(child_first):
         return time.perf_counter() - start
 
     assert median_ratio(timed, 4000, 2000) < 3
+
+
+def _sums_over_classes(model):
+    """Each tally ratio's numerator and denominator, summed over the public
+    per-class queries: tallies() and descendants() of every class."""
+    ts = [tallies(model, decl.name) for decl in model]
+    dcs = [descendants(model, decl.name) for decl in model]
+    assert [t.dc for t in ts] == dcs
+
+    def total(field):
+        return sum(getattr(t, field) for t in ts)
+
+    return {"mhf": (total("m_h"), total("m_d")),
+            "ahf": (total("a_h"), total("a_d")),
+            "mif": (total("m_i"), total("m_a")),
+            "aif": (total("a_i"), total("a_a")),
+            "pf": (total("m_o"), sum(t.m_n * dc for t, dc in zip(ts, dcs)))}
+
+
+def _with_defect(rng, code):
+    """A generated model plus one defect that validate reports as code, on
+    a parent graph that stays resolved and acyclic, so the metrics run."""
+    while True:
+        decls = list(make_model(rng, min_classes=2))
+        i = rng.randrange(len(decls))
+        d = decls[i]
+        if code == "DUPLICATE_METHOD" and d.methods:
+            decls[i] = cls(d.name, d.parents, d.methods + (rng.choice(d.methods),),
+                           d.attributes, d.uses)
+        elif code == "DUPLICATE_ATTRIBUTE" and d.attributes:
+            decls[i] = cls(d.name, d.parents, d.methods,
+                           d.attributes + (rng.choice(d.attributes),), d.uses)
+        elif code == "SHADOWING" and (d.methods or d.attributes):
+            # A new class below d redeclares one of d's features as new.
+            feature = rng.choice(d.methods + d.attributes)
+            new = ((m(feature.name, rng.choice((V, H))),), ()) if isinstance(
+                feature, MethodDecl) else ((), (a(feature.name),))
+            decls.append(cls("Z", (d.name,), *new, uses=(d.name,)))
+        elif code == "BAD_OVERRIDE" and d.methods:
+            # An override of d's method from a class that does not extend d,
+            # or of a differently named method from one that does.
+            target = (d.name, rng.choice(d.methods).name)
+            if rng.random() < 0.5:
+                decls.append(cls("Z", methods=(m(target[1], target=target),)))
+            else:
+                decls.append(cls("Z", (d.name,), (m("other", target=target),)))
+        else:
+            continue
+        model = ClassModel(decls)
+        assert code in [diag.code for diag in validate(model)]
+        return model
+
+
+@pytest.mark.parametrize("defect", [None, "DUPLICATE_METHOD", "DUPLICATE_ATTRIBUTE",
+                                    "SHADOWING", "BAD_OVERRIDE"])
+def test_compute_all_equals_sums_of_the_per_class_queries(defect):
+    # compute_all reads model-wide sums; tallies() and descendants() are the
+    # per-class view.  Models that validate rejects but whose index builds
+    # are measured too, and no other oracle covers them.
+    rng = random.Random(f"sums-{defect}")
+    for _ in range(150):
+        model = (make_model(rng, max_classes=12) if defect is None
+                 else _with_defect(rng, defect))
+        report = compute_all(model)
+        for key, (num, den) in _sums_over_classes(model).items():
+            got = getattr(report, key)
+            assert type(got.numerator) is int and type(got.denominator) is int
+            assert (got.numerator, got.denominator) == (num, den), (key, model)
+
+
+def _forest(n):
+    """n classes in trees of 100, each a binary heap below its root, with
+    two methods, two attributes and one use apiece."""
+    return ClassModel([
+        cls(f"C{i}", (f"C{i - 1 - (i % 100 - 1) // 2}",) if i % 100 else (),
+            (m(f"m{i}"), m(f"n{i}", H)), (a(f"a{i}", H), a(f"b{i}")),
+            (f"C{i * 7 % n}",))
+        for i in range(n)])
+
+
+def test_compute_all_memory_does_not_grow_with_the_model():
+    # With the index built, compute_all sums as it goes: its peak stays
+    # near constant from 2,000 to 8,000 classes, where one object per class
+    # would quadruple it.  The least of three peaks leaves out allocations
+    # that are not compute_all's own.
+    def peak(model):
+        compute_all(model)
+        peaks = []
+        for _ in range(3):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                compute_all(model)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
+
+    small, large = peak(_forest(2000)), peak(_forest(8000))
+    assert large <= 1.5 * small, (small, large)

@@ -1,13 +1,18 @@
+import copy
+import dataclasses
+import gc
 import json
+import pickle
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
 from moodkit import (
-    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, ParseError,
-    Visibility, errors, omdl, parse, render, validate,
+    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, OmdlDocument,
+    ParseError, Visibility, errors, omdl, parse, render, validate,
 )
 
 from tests import omdl_golden
@@ -356,6 +361,90 @@ def test_spans_match_offsets_under_random_layout(one_line):
         assert doc.spans == {
             key: (text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
             for key, off in offsets.items()}
+
+
+
+def test_spans_read_late_match_offsets_under_every_line_end():
+    # parse finds spans on their first read, by a second scan of the
+    # normalised source: CRLF, lone CR, a byte-order mark and bytes must
+    # give the positions the LF text gives.
+    rng = random.Random(2424)
+    for _ in range(60):
+        model = make_model(rng)
+        text, offsets = _write_laid_out(model, rng, False)
+        want = {key: (text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
+                for key, off in offsets.items()}
+        lf = text.replace("\r\n", "\n")
+        cr, crlf = lf.replace("\n", "\r"), lf.replace("\n", "\r\n")
+        for source in (text, lf, cr, crlf, "\ufeff" + crlf, text.encode(),
+                       ("\ufeff" + cr).encode()):
+            doc = parse(source)
+            assert doc.model == model
+            assert type(doc.spans) is dict and doc.spans == want
+
+
+SMALL = "class A {\n  method m;\n}\nclass B extends A { attribute x; }\n"
+SMALL_SPANS = {("class", "A"): (1, 7), ("method", "A", "m"): (2, 10),
+               ("class", "B"): (4, 7), ("attribute", "B", "x"): (4, 31)}
+
+
+def test_document_with_unread_spans_behaves_as_one_built_with_them():
+    # Each check starts from a fresh parse, whose spans are not yet read.
+    built = OmdlDocument(parse(SMALL).model, SMALL_SPANS)
+    assert parse(SMALL) == built and built == parse(SMALL)
+    assert parse(SMALL) != OmdlDocument(built.model, {})
+    assert hash(parse(SMALL)) == hash(built) == hash(OmdlDocument(built.model, {}))
+    assert repr(parse(SMALL)) == repr(built)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(parse(SMALL), protocol))
+        assert type(again.spans) is dict and again == built, protocol
+    for duplicate in (copy.copy, copy.deepcopy, dataclasses.replace):
+        again = duplicate(parse(SMALL))
+        assert type(again.spans) is dict and again == built, duplicate
+    moved = dataclasses.replace(parse(SMALL), model=ClassModel([ClassDecl("C")]))
+    assert moved.spans == SMALL_SPANS
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parse(SMALL).spans = {}
+    with pytest.raises(AttributeError, match="'OmdlDocument' object has no "
+                                             "attribute 'span'"):
+        parse(SMALL).span
+
+
+def test_built_document_keeps_the_dict_it_was_given():
+    spans = dict(SMALL_SPANS)
+    doc = OmdlDocument(parse(SMALL).model, spans)
+    assert doc.spans is spans
+    assert OmdlDocument(model=doc.model, spans={}).spans == {}
+
+
+def test_parse_holds_no_spans_until_they_are_read():
+    # A forest of 2,000 classes in trees of 100.  Unread, a document holds
+    # its model and normalised source: under half of what it holds once
+    # its spans are read.  After that read the source is let go: parsed
+    # from bytes, whose decoded text tracemalloc sees, a document holds no
+    # more than one parsed from str.
+    text = "".join(
+        f"class C{i}{f' extends C{i - 1 - (i % 100 - 1) // 2}' if i % 100 else ''} {{\n"
+        f"    method m{i}; hidden method n{i}; method o{i};\n"
+        f"    hidden attribute a{i}; attribute b{i};\n"
+        f"    uses C{i * 7 % 2000}, C{i * 13 % 2000};\n}}\n"
+        for i in range(2000))
+
+    def held(source):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            doc = parse(source)
+            unread = tracemalloc.get_traced_memory()[0]
+            assert len(doc.spans) == 12_000
+            gc.collect()
+            return unread, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    unread, read = held(text)
+    assert unread <= 0.7 * read, (unread, read)
+    assert held(text.encode())[1] - read <= len(text) / 10
 
 
 @pytest.mark.parametrize("one_line", [False, True])
