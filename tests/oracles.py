@@ -82,6 +82,75 @@ def _oracle_ancestors(model: ClassModel, name: str) -> set[str]:
     return out
 
 
+def _closure(model: ClassModel, name: str) -> set[str]:
+    """Strict ancestors by search, skipping unknown names; a class on a
+    cycle, or that lists itself, is its own ancestor."""
+    out: set[str] = set()
+    stack = list(model.get(name).parents)
+    while stack:
+        cur = stack.pop()
+        if cur in out or cur not in model:
+            continue
+        out.add(cur)
+        stack.extend(model.get(cur).parents)
+    return out
+
+
+def semantic_oracle(model: ClassModel) -> tuple[list[tuple[str, str, str]], int]:
+    """validate's SHADOWING and BAD_OVERRIDE findings as (code, class,
+    message) in validate's order, and cf's numerator, from the rules.
+
+    A new method or an attribute shadows when a strict ancestor declares
+    its name.  An override is bad when it names another method, when its
+    target is not a strict ancestor, or when neither the target nor any of
+    its ancestors declares the name.  A client is a distinct used class
+    that exists and is neither the class itself nor one of its ancestors.
+    The findings are empty when a parent or an override target class is
+    unknown or a class is its own ancestor, and cf's numerator is None
+    when it cannot be computed.
+    """
+    closure = {d.name: _closure(model, d.name) for d in model}
+    resolved = all(p in model for d in model for p in d.parents)
+    acyclic = all(d.name not in closure[d.name] for d in model)
+    targets_known = all(m.override_target[0] in model for d in model
+                        for m in d.methods if m.override_target)
+    findings: list[tuple[str, str, str]] = []
+    for decl in model if resolved and acyclic and targets_known else ():
+        ancestors = [model.get(n) for n in closure[decl.name]]
+        for m in decl.methods:
+            if m.kind is MethodKind.NEW:
+                if any(m.name in _declared_method_names(c) for c in ancestors):
+                    findings.append((
+                        "SHADOWING", decl.name,
+                        f"{decl.name!r}.{m.name} shadows an inherited method; "
+                        "declare it with 'overrides' or rename it"))
+                continue
+            target_cls, target_meth = m.override_target
+            target_line = [model.get(n) for n in closure[target_cls] | {target_cls}]
+            if target_meth != m.name:
+                message = (f"{decl.name!r}.{m.name} cannot override differently "
+                           f"named method {target_cls}.{target_meth}")
+            elif target_cls not in closure[decl.name]:
+                message = f"{decl.name!r}.{m.name}: {target_cls!r} is not an ancestor"
+            elif not any(m.name in _declared_method_names(c) for c in target_line):
+                message = (f"{decl.name!r}.{m.name}: no method {target_meth!r} "
+                           f"in ancestor {target_cls!r}")
+            else:
+                continue
+            findings.append(("BAD_OVERRIDE", decl.name, message))
+        for a in decl.attributes:
+            if any(a.name in _declared_attr_names(c) for c in ancestors):
+                findings.append(("SHADOWING", decl.name,
+                                 f"{decl.name!r}.{a.name} shadows an inherited "
+                                 "attribute"))
+    clients = None
+    if resolved and acyclic:
+        clients = sum(1 for decl in model for target in set(decl.uses)
+                      if target != decl.name and target in model
+                      and target not in closure[decl.name])
+    return findings, clients
+
+
 def metric_oracle(model: ClassModel) -> dict[str, tuple[int, int]]:
     """Raw (numerator, denominator) for each metric, summed naively."""
     mh = md = ah = ad = mi = ma = ai = aa = mo_sum = pf_den = 0

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import time
 
@@ -6,14 +7,16 @@ import pytest
 
 from moodkit import (
     AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind,
-    UnknownClassError, Visibility, descendants, tallies, validate,
+    UnknownClassError, Visibility, cf, descendants, tallies, validate,
 )
 from moodkit.class_model import (
     BAD_OVERRIDE, CYCLE, DUPLICATE_ATTRIBUTE, DUPLICATE_METHOD, EMPTY_MODEL,
     SELF_REFERENCE, SHADOWING, UNRESOLVED_NAME,
 )
 
+from tests import model_golden
 from tests.modelgen import make_model
+from tests.oracles import semantic_oracle
 from tests.timing import median_ratio
 
 
@@ -411,3 +414,52 @@ def test_model_is_a_hashable_read_only_value():
         model.classes = ()
     from_iterator = ClassModel(iter(decls)).classes
     assert type(from_iterator) is tuple and from_iterator == tuple(decls)
+
+
+def test_models_match_the_golden():
+    # Outcomes recorded from a trusted model path (tests/model_golden.py
+    # says how): each model's digest, and the whole outcome where the
+    # golden keeps it; then moodkit metrics on a subset, in each format.
+    golden = json.loads(model_golden.GOLDEN.read_text(encoding="utf-8"))
+    labelled = model_golden.inputs(golden["seed"])
+    assert model_golden.digest(labelled) == golden["inputs"], "inputs changed"
+    got = model_golden.record(labelled)
+    assert len(got) == len(golden["outcomes"]) >= 500
+    mismatched = [row + want[1:] for row, want
+                  in zip(got, golden["outcomes"]) if row != want]
+    assert mismatched == []
+    assert model_golden.cli_outcomes(labelled) == golden["cli"]
+
+
+def _semantic_cases(rng):
+    """Generated models declared child-first, models with shadowing or a
+    bad override injected, and stars whose root is declared last."""
+    for _ in range(120):
+        yield ClassModel(reversed(make_model(rng, max_classes=10).classes))
+    for names in (["inherited again"], ["bad override"],
+                  ["inherited again", "bad override"],
+                  ["bad override", "bad override"]):
+        for _ in range(40):
+            yield model_golden.mutant(
+                rng, [model_golden.MUTANTS[name] for name in names])
+    for n in (2, 5, 30, 200):
+        yield model_golden.star(n, root_last=True, shared=False)
+        yield model_golden.star(n, root_last=True, shared=True)
+
+
+def test_semantic_checks_match_the_oracle():
+    # validate's SHADOWING and BAD_OVERRIDE findings and cf's client count,
+    # against their definitions applied to an ancestor closure found by
+    # search (tests/oracles.py), here and on every model of the golden.
+    models = list(_semantic_cases(random.Random(2525)))
+    models += [model for _, model in model_golden.inputs()]
+    seen = set()
+    for model in models:
+        want, clients = semantic_oracle(model)
+        got = [(d.code, d.class_name, d.message) for d in validate(model)
+               if d.code in (SHADOWING, BAD_OVERRIDE)]
+        assert got == want, model
+        seen.update(code for code, _, _ in want)
+        if clients is not None and len(model) > 1:
+            assert cf(model).numerator == clients, model
+    assert seen == {SHADOWING, BAD_OVERRIDE}
