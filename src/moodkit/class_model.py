@@ -9,11 +9,12 @@ class.
 
 Every inheritance query reads one index, built on first use and kept on the
 model.  One iterative Tarjan pass over the parent graph finds its cycles and
-a topological order, in which each class gets its strict ancestors as an
-int bitmask (bit i is the i-th declared class), its strict-descendant count,
-and the number of distinct (origin, name) methods and attributes it
-inherits.  The cost is near-linear in the size of the model, so hierarchies
-of any depth need no recursion.  Queries that need the index raise
+a topological order.  A walk down that order decides the distinct (origin,
+name) features each class inherits, shadowing, override targets and cf's
+clients; a walk back up counts descendants.  Each walk holds a class's sets
+and maps only until their last reader is done, so a star takes memory
+linear in its size in either declaration order, and no depth of hierarchy
+needs recursion.  Queries that need the index raise
 :class:`~moodkit.errors.InvalidModelError`, carrying the model's
 diagnostics, when a parent name is unresolved or the parent graph is cyclic.
 """
@@ -23,8 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, countOf
-from typing import Callable, Iterator, NamedTuple, Optional
+from operator import attrgetter, countOf, itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvalidModelError, UnknownClassError
 
@@ -264,24 +265,19 @@ def validate(model: ClassModel) -> list[Diagnostic]:
         return [Diagnostic(EMPTY_MODEL, "model declares no classes")]
 
     position = model._position
-    # Per feature name, the bitmask of the classes that declare it.  A name
-    # whose mask already holds this class's bit is a duplicate.
-    method_declarers: dict[str, int] = {}
-    attr_declarers: dict[str, int] = {}
     unknown_target = False
-    for i, decl in enumerate(model):
-        bit = 1 << i
-        for kind, code, features, declarers in (
-                ("method", DUPLICATE_METHOD, decl.methods, method_declarers),
-                ("attribute", DUPLICATE_ATTRIBUTE, decl.attributes, attr_declarers)):
+    for decl in model:
+        for kind, code, features in (
+                ("method", DUPLICATE_METHOD, decl.methods),
+                ("attribute", DUPLICATE_ATTRIBUTE, decl.attributes)):
+            seen: set[str] = set()
             for f in features:
-                mask = declarers.get(f.name, 0)
-                if mask & bit:
+                if f.name in seen:
                     diags.append(Diagnostic(
                         code,
                         f"{kind} {f.name!r} declared more than once in "
                         f"{decl.name!r}", decl.name))
-                declarers[f.name] = mask | bit
+                seen.add(f.name)
 
         for names, where in ((decl.parents, "as a parent"), (decl.uses, "in uses")):
             if decl.name in names:
@@ -309,73 +305,24 @@ def validate(model: ClassModel) -> list[Diagnostic]:
             CYCLE,
             "inheritance cycle: " + " -> ".join(members + (members[0],)),
             members[0]))
-    if not (index.cyclic or index.unresolved or unknown_target):
-        diags.extend(_check_inheritance_semantics(
-            model, index, method_declarers, attr_declarers))
-    return diags
-
-
-def _check_inheritance_semantics(
-        model: ClassModel, index: _InheritanceIndex,
-        method_declarers: dict[str, int],
-        attr_declarers: dict[str, int]) -> list[Diagnostic]:
-    """Shadowing and override-target checks; requires an acyclic, resolved graph.
-
-    A class inherits a name exactly when one of its strict ancestors
-    declares it, so each check ANDs the mask of the classes declaring a
-    name (from ``validate``'s duplicate check) with an ancestor mask.
-    """
-    diags: list[Diagnostic] = []
-    for decl, ancestors in zip(model, index.ancestors):
-        for m in decl.methods:
-            declarers = method_declarers[m.name]
-            if m.kind is MethodKind.NEW and declarers & ancestors:
-                diags.append(Diagnostic(
-                    SHADOWING,
-                    f"{decl.name!r}.{m.name} shadows an inherited method; "
-                    "declare it with 'overrides' or rename it", decl.name))
-            elif m.kind is MethodKind.OVERRIDE:
-                target_cls, target_meth = m.override_target
-                target = model._position[target_cls]
-                if target_meth != m.name:
-                    diags.append(Diagnostic(
-                        BAD_OVERRIDE,
-                        f"{decl.name!r}.{m.name} cannot override differently "
-                        f"named method {target_cls}.{target_meth}", decl.name))
-                elif not ancestors >> target & 1:
-                    diags.append(Diagnostic(
-                        BAD_OVERRIDE,
-                        f"{decl.name!r}.{m.name}: {target_cls!r} is not an "
-                        "ancestor", decl.name))
-                elif not declarers & (index.ancestors[target] | 1 << target):
-                    diags.append(Diagnostic(
-                        BAD_OVERRIDE,
-                        f"{decl.name!r}.{m.name}: no method {target_meth!r} in "
-                        f"ancestor {target_cls!r}", decl.name))
-        for a in decl.attributes:
-            if attr_declarers[a.name] & ancestors:
-                diags.append(Diagnostic(
-                    SHADOWING,
-                    f"{decl.name!r}.{a.name} shadows an inherited attribute",
-                    decl.name))
+    if not unknown_target:
+        diags.extend(index.findings)
     return diags
 
 
 class _InheritanceIndex(NamedTuple):
-    """Inheritance facts of one model, per class in declaration position.
-
-    ``cycles`` (each of two or more classes, as sorted names), ``cyclic`` (a
-    cycle or a self-parent) and ``unresolved`` describe the parent graph.
-    When either of the last two holds, the per-class lists are empty.
-    """
+    """Inheritance facts of one model: ``cycles`` (of two or more classes,
+    as sorted names), ``cyclic`` (a cycle or a self-parent), ``unresolved``
+    and, unless either of those two holds, per-class counts in declaration
+    position, cf's numerator and the semantic diagnostics in that order."""
 
     cycles: list[tuple[str, ...]]
     cyclic: bool
     unresolved: bool
-    ancestors: list[int]
     descendants: list[int]
-    inherited_methods: list[int]
-    inherited_attrs: list[int]
+    inherited: tuple[list[int], list[int]]
+    clients: int
+    findings: list[Diagnostic]
 
 
 def _valid_index(model: ClassModel) -> _InheritanceIndex:
@@ -387,13 +334,17 @@ def _valid_index(model: ClassModel) -> _InheritanceIndex:
 
 
 def _build_index(model: ClassModel) -> _InheritanceIndex:
-    decls = model.classes
+    decls, position = model.classes, model._position
     parents: list[list[int]] = [[] for _ in decls]
     n_children = [0] * len(decls)
+    asked: dict[int, set[str]] = {}
     unresolved = self_parent = False
     for i, decl in enumerate(decls):
+        for m in decl.methods:
+            if m.override_target and m.override_target[0] in position:
+                asked.setdefault(position[m.override_target[0]], set()).add(m.name)
         for name in dict.fromkeys(decl.parents):
-            j = model._position.get(name)
+            j = position.get(name)
             if j is None:
                 unresolved = True
             elif j == i:
@@ -448,77 +399,128 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
     cyclic = self_parent or bool(cycles)
     if cyclic or unresolved:
         return _InheritanceIndex(sorted(cycles), cyclic, unresolved,
-                                 [], [], [], [])
+                                 [], ([], []), 0, [])
+    return _InheritanceIndex([], False, False, _count_descendants(order, parents),
+                             *_walk(model, order, parents, n_children, asked))
 
-    ancestors = [0] * len(decls)
+
+def _merge(available: dict[str, frozenset[int]],
+           features: dict[str, frozenset[int]]) -> int:
+    """Merge a map from feature names to the positions of their origins
+    into another; the number of (origin, name) features it adds."""
+    added = 0
+    for name, origins in features.items():
+        have = available.get(name)
+        if have is None:
+            available[name] = origins
+            added += len(origins)
+        elif have is not origins:
+            available[name] = have | origins
+            added += len(available[name]) - len(have)
+    return added
+
+
+def _walk(model: ClassModel, order: list[int], parents: list[list[int]],
+          unread: list[int], asked: dict[int, set[str]]):
+    """Inherited counts, cf's clients and the semantic findings.
+
+    A class hands its children the positions of itself and its ancestors
+    and its available methods and attributes, held until the last of the
+    ``unread`` children has read them.  A class with no children reads its
+    one parent's in place; any other merges into its first parent's, taken
+    over by that parent's last reader: a chain carries one set and one map
+    of each kind.  ``asked`` holds the names that overrides target in a
+    class, cut down to those it has once walked, before any descendant."""
+    decls, position = model.classes, model._position
+    held: dict[int, tuple] = {}
+    inherited_methods, inherited_attrs = [0] * len(decls), [0] * len(decls)
+    clients = 0
+    findings: list[tuple[int, Diagnostic]] = []
     for i in order:
-        mask = 0
-        for j in parents[i]:
-            mask |= ancestors[j] | 1 << j
-        ancestors[i] = mask
-    # In reverse order every descendant of i is done before i is pushed up.
-    below = [0] * len(decls)
-    for i in reversed(order):
-        for j in parents[i]:
-            below[j] |= below[i] | 1 << i
-    return _InheritanceIndex(
-        [], False, False, ancestors, [mask.bit_count() for mask in below],
-        _inherited_counts(decls, order, parents, n_children,
-                          ClassDecl.method_names),
-        _inherited_counts(decls, order, parents, n_children,
-                          ClassDecl.attribute_names))
-
-
-def _inherited_counts(decls: tuple[ClassDecl, ...], order: list[int],
-                      parents: list[list[int]], n_children: list[int],
-                      names_of: Callable[[ClassDecl], set[str]]) -> list[int]:
-    """Per class, the number of distinct (origin, name) features it inherits.
-
-    A feature is identified by the class that declares it and its name: a
-    local declaration originates here (an override re-originates the
-    method), an inherited feature keeps the origin of the declaring
-    ancestor.  Union over several parents collapses features of the same
-    identity, so a diamond contributes a feature once; an inherited feature
-    is dropped when its name is declared locally.
-
-    The walk carries each class's available features as a map from name to
-    the frozenset of origin positions.  A class starts from its first
-    parent's map and merges the others into it.  A map lives only until the
-    last child has read it; that child, if the map is of its first parent,
-    takes it over instead of copying it, so a chain carries a single map.
-    """
-    unread = list(n_children)
-    held: dict[int, tuple[dict[str, frozenset[int]], int]] = {}
-    inherited = [0] * len(decls)
-    for i in order:
-        local = names_of(decls[i])
-        ps = parents[i]
-        available: dict[str, frozenset[int]] = {}
-        count = 0
+        decl, ps, read = decls[i], parents[i], []
         for j in ps:
             unread[j] -= 1
-            features, n = held[j] if unread[j] else held.pop(j)
-            if j == ps[0]:
-                available, count = dict(features) if unread[j] else features, n
+            read.append(held[j] if unread[j] else held.pop(j))
+        ancestors, methods, attrs, m_count, a_count = (
+            read[0] if read else (set(), {}, {}, 0, 0))
+        if read and ps[0] in held and (len(ps) > 1 or unread[i]):
+            ancestors, methods, attrs = set(ancestors), dict(methods), dict(attrs)
+        for other, other_methods, other_attrs, _, _ in read[1:]:
+            ancestors |= other
+            m_count += _merge(methods, other_methods)
+            a_count += _merge(attrs, other_attrs)
+        local_methods, local_attrs = decl.method_names(), decl.attribute_names()
+        for name in local_methods:
+            m_count -= len(methods.get(name, ()))
+        for name in local_attrs:
+            a_count -= len(attrs.get(name, ()))
+        inherited_methods[i], inherited_attrs[i] = m_count, a_count
+        # Duplicate uses entries count once: is_client is a 0/1 predicate.
+        for name in set(decl.uses):
+            j = position.get(name)
+            clients += j is not None and j != i and j not in ancestors
+
+        for m in decl.methods:
+            if m.kind is MethodKind.NEW:
+                if m.name in methods:
+                    findings.append((i, Diagnostic(
+                        SHADOWING, f"{decl.name!r}.{m.name} shadows an inherited "
+                        "method; declare it with 'overrides' or rename it",
+                        decl.name)))
                 continue
-            for name, origins in features.items():
-                have = available.get(name)
-                if have is None:
-                    available[name] = origins
-                    count += len(origins)
-                elif have is not origins:
-                    merged = have | origins
-                    available[name] = merged
-                    count += len(merged) - len(have)
-        for name in local:
-            count -= len(available.pop(name, ()))
-        inherited[i] = count
+            # An unknown target class is no ancestor; validate drops these.
+            target_cls, target_meth = m.override_target
+            target = position.get(target_cls)
+            if target_meth != m.name:
+                why = (" cannot override differently named method "
+                       f"{target_cls}.{target_meth}")
+            elif target not in ancestors:
+                why = f": {target_cls!r} is not an ancestor"
+            elif m.name not in asked[target]:
+                why = f": no method {target_meth!r} in ancestor {target_cls!r}"
+            else:
+                continue
+            findings.append((i, Diagnostic(
+                BAD_OVERRIDE, f"{decl.name!r}.{m.name}{why}", decl.name)))
+        for a in decl.attributes:
+            if a.name in attrs:
+                findings.append((i, Diagnostic(
+                    SHADOWING, f"{decl.name!r}.{a.name} shadows an inherited "
+                    "attribute", decl.name)))
         if unread[i]:
             own = frozenset((i,))
-            for name in local:
-                available[name] = own
-            held[i] = (available, count + len(local))
-    return inherited
+            methods.update(dict.fromkeys(local_methods, own))
+            attrs.update(dict.fromkeys(local_attrs, own))
+            ancestors.add(i)
+            if i in asked:
+                asked[i] &= methods.keys()
+            held[i] = (ancestors, methods, attrs, m_count + len(local_methods),
+                       a_count + len(local_attrs))
+    findings.sort(key=itemgetter(0))
+    return ((inherited_methods, inherited_attrs), clients,
+            [diag for _, diag in findings])
+
+
+def _count_descendants(order: list[int], parents: list[list[int]]) -> list[int]:
+    """Per class, the number of its strict descendants, from one walk up
+    the topological order: each class adds itself and its descendants to
+    each parent's set.  The last parent takes that set over, or the larger
+    set absorbs the smaller, so a chain carries a single set."""
+    below: dict[int, set[int]] = {}
+    counts = [0] * len(order)
+    for i in reversed(order):
+        mine = below.pop(i, set())
+        counts[i] = len(mine)
+        mine.add(i)
+        last = len(parents[i]) - 1
+        for k, j in enumerate(parents[i]):
+            theirs = below.setdefault(j, set())
+            if k < last or len(theirs) >= len(mine):
+                theirs |= mine
+            else:
+                mine |= theirs
+                below[j] = mine
+    return counts
 
 
 def tallies(model: ClassModel, name: str) -> ClassTallies:
@@ -534,8 +536,7 @@ def tallies(model: ClassModel, name: str) -> ClassTallies:
     index = _valid_index(model)
     i = model._position[name]
     m_d, m_h, m_n, a_d, a_h = _declared(decl)
-    m_i = index.inherited_methods[i]
-    a_i = index.inherited_attrs[i]
+    m_i, a_i = (counts[i] for counts in index.inherited)
     return ClassTallies(
         m_v=m_d - m_h, m_h=m_h, m_d=m_d, m_i=m_i, m_a=m_d + m_i,
         m_n=m_n, m_o=m_d - m_n,

@@ -95,7 +95,7 @@ def _tally_ratios(model: ClassModel) -> dict[str, MetricValue]:
         a_d += attrs
         a_h += hidden_attrs
         opportunities += new * dc
-    m_i, a_i = sum(index.inherited_methods), sum(index.inherited_attrs)
+    m_i, a_i = map(sum, index.inherited)
     return {
         "mhf": _ratio(m_h, m_d, "no defined methods"),
         "ahf": _ratio(a_h, a_d, "no defined attributes"),
@@ -130,14 +130,7 @@ def cf(model: ClassModel) -> MetricValue:
     tc = len(model)
     if tc < 2:
         return MetricValue(0, 0, "TC < 2")
-    clients = 0
-    for decl, ancestors in zip(model, index.ancestors):
-        # Duplicate uses entries count once: is_client is a 0/1 predicate.
-        for target in set(decl.uses):
-            j = model._position.get(target)
-            if j is not None and target != decl.name and not ancestors >> j & 1:
-                clients += 1
-    return MetricValue(clients, tc * tc - tc)
+    return MetricValue(index.clients, tc * tc - tc)
 
 
 def compute_all(model: ClassModel) -> MoodReport:

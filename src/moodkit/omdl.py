@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from .class_model import (
     AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility, _set,
@@ -77,7 +77,8 @@ class OmdlDocument:
     Documents hash by their model alone and compare by model and spans.
 
     A document from ``parse`` finds its spans on their first read, with one
-    more scan of its normalised source, which it holds until then.
+    more scan of its normalised source, which it holds until then.  Their
+    keys hold the model's own name strings.
     """
 
     model: ClassModel
@@ -90,7 +91,7 @@ class OmdlDocument:
         if name != "spans" or source is None:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}", name=name, obj=self)
-        spans = _read(source, record=True)
+        spans = _read(source, self.model)
         _set(self, "spans", spans)
         self.__dict__.pop("_source", None)
         return spans
@@ -118,14 +119,14 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
                              f"byte 0x{source[exc.start]:02x}") from None
     source = source.removeprefix("\ufeff")
     doc = OmdlDocument.__new__(OmdlDocument)
-    _set(doc, "model", ClassModel(_read(source, record=False)))
+    _set(doc, "model", ClassModel(_read(source)))
     _set(doc, "_source", source)
     return doc
 
 
-def _read(source: str, record: bool):
-    """The class declarations of normalised source; with ``record``, the
-    spans of a source that parsed, and no declarations."""
+def _read(source: str, model: Optional[ClassModel] = None):
+    """The class declarations of normalised source; given the model that
+    source parsed to, its spans instead, keyed by the model's names."""
     # Compiled on the first parse, and kept in re's cache, not on import:
     # every CLI subcommand imports this module.
     header, member, comma = map(re.compile, (_HEADER, _MEMBER, _COMMA))
@@ -175,6 +176,7 @@ def _read(source: str, record: bool):
     spans: dict = {}
     names: set[str] = set()
     pos = 0
+    record, decls = model is not None, iter(model or ())
     while True:
         h = header.match(source, pos)
         if h is None or h[1] in names:
@@ -191,22 +193,26 @@ def _read(source: str, record: bool):
         if cls is None:
             return spans if record else classes
         names.add(cls)
-        if record:
-            spans[("class", cls)] = where(h.start(1))
         methods, attributes, uses = [], [], []
+        if record:
+            decl = next(decls)
+            cls, methods, attributes = (decl.name, iter(decl.methods),
+                                        iter(decl.attributes))
+            spans[("class", cls)] = where(h.start(1))
         pos = h.end()
         while m := member.match(source, pos):
             pos = m.end()
             word, name, target_cls, target, attribute, used = m.groups()
             if name:
                 if record:
-                    spans[("method", cls, name)] = where(m.start(2))
+                    spans[("method", cls, next(methods).name)] = where(m.start(2))
                 else:
                     methods.append(MethodDecl._parsed(
                         name, _VISIBILITY[word], target_cls and (target_cls, target)))
             elif attribute:
                 if record:
-                    spans[("attribute", cls, attribute)] = where(m.start(5))
+                    key = ("attribute", cls, next(attributes).name)
+                    spans[key] = where(m.start(5))
                 else:
                     attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
             elif used:

@@ -301,8 +301,8 @@ def outcome_digest(result: dict) -> str:
 
 def full(label: str, model: ClassModel) -> bool:
     """Whether the golden keeps the whole outcome: for the first FULL
-    models of a numbered family, and for stars, chains and diamonds of at
-    most 8 classes."""
+    models of a numbered family, and for stars, chains, diamonds and
+    cycles of at most 8 classes."""
     if label[-1].isdigit():
         return int(label.rsplit(" ", 1)[1]) < FULL
     return len(model) <= 8

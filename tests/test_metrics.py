@@ -442,3 +442,36 @@ def test_compute_all_memory_does_not_grow_with_the_model():
 
     small, large = peak(_forest(2000)), peak(_forest(8000))
     assert large <= 1.5 * small, (small, large)
+
+
+def _unique_name_star(n, root_last):
+    """A root and n - 1 leaves below it, each declaring a method of its own."""
+    root = cls("Root")
+    leaves = [cls(f"Leaf{i}", ("Root",), (m(f"m{i}"),)) for i in range(n - 1)]
+    return leaves + [root] if root_last else [root] + leaves
+
+
+@pytest.mark.parametrize("root_last", [False, True], ids=["root-first", "root-last"])
+def test_validate_memory_grows_linearly_on_a_star(root_last):
+    # validate + compute_all from a fresh model, which builds the index:
+    # about 2x per doubling of the star.  An int mask per leaf or per name,
+    # keyed by declaration position, grows 3.5x with the root declared
+    # first and 3.8x with it last.  The least of three peaks, as above.
+    def peak(decls):
+        peaks = []
+        for _ in range(3):
+            model = ClassModel(decls)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                validate(model)
+                compute_all(model)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
+
+    small = peak(_unique_name_star(10_000, root_last))
+    large = peak(_unique_name_star(20_000, root_last))
+    assert large <= 2.5 * small, (small, large)

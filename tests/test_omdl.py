@@ -447,6 +447,30 @@ def test_parse_holds_no_spans_until_they_are_read():
     assert held(text.encode())[1] - read <= len(text) / 10
 
 
+def test_span_keys_hold_the_models_own_names():
+    # A late scan that keyed spans by its own matches would hold a second
+    # string for every class and member name.  Names of one character are
+    # shared by CPython anyway, so these are longer.
+    rng = random.Random(2503)
+    sources = [render(make_model(rng, max_classes=8, min_classes=2))
+               for _ in range(20)]
+    sources.append("class Alpha { method run; attribute size; }\n"
+                   "class Beta extends Alpha { hidden method run overrides "
+                   "Alpha.run; attribute count; uses Alpha; }\n")
+    for source in sources:
+        doc = parse(source)
+        names = {}
+        for decl in doc.model:
+            names[("class", decl.name)] = decl.name
+            names.update({("method", decl.name, f.name): f.name for f in decl.methods})
+            names.update({("attribute", decl.name, f.name): f.name
+                          for f in decl.attributes})
+        assert doc.spans.keys() == names.keys()
+        for key in doc.spans:
+            assert key[1] is doc.model.get(key[1]).name, key
+            assert key[-1] is names[key], key
+
+
 @pytest.mark.parametrize("one_line", [False, True])
 def test_parse_cost_grows_linearly(one_line):
     # parse per doubling of classes: about 2x when linear.  A position
