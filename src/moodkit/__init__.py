@@ -29,7 +29,7 @@ _EXPORTS = {
     "metrics": (
         "MetricValue", "MoodReport", "ahf", "aif", "cf", "compute_all", "mhf",
         "mif", "pf"),
-    "omdl": ("OmdlDocument", "parse", "render"),
+    "omdl": ("OmdlDocument", "parse", "render", "spans"),
     "regression": (
         "AnovaTable", "CoefficientEstimate", "FitResult", "ModelSpec", "anova",
         "fit", "fit_all_interchange", "log_transform", "predict"),

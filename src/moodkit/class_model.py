@@ -297,7 +297,7 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                     f"{m.override_target[0]!r}", decl.name))
                 unknown_target = True
 
-    # A self-parent makes the index cyclic but is no edge of the parent
+    # A self-parent breaks the index but is no edge of the parent
     # graph, so it gets SELF_REFERENCE alone: CYCLE is for two or more.
     index = model._index
     for members in index.cycles:
@@ -312,13 +312,12 @@ def validate(model: ClassModel) -> list[Diagnostic]:
 
 class _InheritanceIndex(NamedTuple):
     """Inheritance facts of one model: ``cycles`` (of two or more classes,
-    as sorted names), ``cyclic`` (a cycle or a self-parent), ``unresolved``
-    and, unless either of those two holds, per-class counts in declaration
-    position, cf's numerator and the semantic diagnostics in that order."""
+    as sorted names), ``broken`` (a cycle, a self-parent or an unresolved
+    parent) and, unless it holds, per-class counts in declaration position,
+    cf's numerator and the semantic diagnostics in that order."""
 
     cycles: list[tuple[str, ...]]
-    cyclic: bool
-    unresolved: bool
+    broken: bool
     descendants: list[int]
     inherited: tuple[list[int], list[int]]
     clients: int
@@ -328,7 +327,7 @@ class _InheritanceIndex(NamedTuple):
 def _valid_index(model: ClassModel) -> _InheritanceIndex:
     """The index of a model whose parent graph is resolved and acyclic."""
     index = model._index
-    if index.cyclic or index.unresolved:
+    if index.broken:
         raise InvalidModelError(validate(model))
     return index
 
@@ -338,17 +337,15 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
     parents: list[list[int]] = [[] for _ in decls]
     n_children = [0] * len(decls)
     asked: dict[int, set[str]] = {}
-    unresolved = self_parent = False
+    broken = False
     for i, decl in enumerate(decls):
         for m in decl.methods:
             if m.override_target and m.override_target[0] in position:
                 asked.setdefault(position[m.override_target[0]], set()).add(m.name)
         for name in dict.fromkeys(decl.parents):
             j = position.get(name)
-            if j is None:
-                unresolved = True
-            elif j == i:
-                self_parent = True
+            if j is None or j == i:
+                broken = True
             else:
                 parents[i].append(j)
                 n_children[j] += 1
@@ -396,11 +393,9 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
                     for j in component:
                         low[j] = done
                     cycles.append(tuple(sorted(decls[j].name for j in component)))
-    cyclic = self_parent or bool(cycles)
-    if cyclic or unresolved:
-        return _InheritanceIndex(sorted(cycles), cyclic, unresolved,
-                                 [], ([], []), 0, [])
-    return _InheritanceIndex([], False, False, _count_descendants(order, parents),
+    if broken or cycles:
+        return _InheritanceIndex(sorted(cycles), True, [], ([], []), 0, [])
+    return _InheritanceIndex([], False, _count_descendants(order, parents),
                              *_walk(model, order, parents, n_children, asked))
 
 

@@ -24,12 +24,11 @@ grammar error, wherever it stands in the input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .class_model import (
-    AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility, _set,
-)
+    AttributeDecl, ClassDecl, ClassModel, MethodDecl, Visibility)
 from .errors import ParseError
 
 KEYWORDS = frozenset(
@@ -70,31 +69,9 @@ _VISIBILITY = {None: Visibility.VISIBLE, "visible": Visibility.VISIBLE,
 
 @dataclass(frozen=True)
 class OmdlDocument:
-    """A parsed model plus the source position of each declaration.
-
-    ``spans`` maps ("class", name), ("method", class, name) and
-    ("attribute", class, name) keys to (line, column) of the declaring token.
-    Documents hash by their model alone and compare by model and spans.
-
-    A document from ``parse`` finds its spans on their first read, with one
-    more scan of its normalised source, which it holds until then.  Their
-    keys hold the model's own name strings.
-    """
+    """A parsed model; ``spans(source)`` gives where its declarations stand."""
 
     model: ClassModel
-    spans: dict = field(hash=False)
-
-    def __getattr__(self, name: str):
-        # Only "spans" of a parsed document can be missing.  Two threads
-        # racing here find equal spans, and either may be kept.
-        source = self.__dict__.get("_source")
-        if name != "spans" or source is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}", name=name, obj=self)
-        spans = _read(source, self.model)
-        _set(self, "spans", spans)
-        self.__dict__.pop("_source", None)
-        return spans
 
 
 def parse(source: Union[str, bytes]) -> OmdlDocument:
@@ -105,6 +82,23 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
     UTF-8; a decoding failure is reported as a ParseError at the offending
     line.
     """
+    return OmdlDocument(ClassModel(_read(_text(source))))
+
+
+def spans(source: Union[str, bytes]) -> dict:
+    """The source position of each declaration, with one more parse.
+
+    Maps ("class", name), ("method", class, name) and ("attribute", class,
+    name) keys, in declaration order, to (line, column) of the declaring
+    token.  Source that ``parse`` rejects raises the same ParseError.
+    """
+    found: dict = {}
+    _read(_text(source), found)
+    return found
+
+
+def _text(source: Union[str, bytes]) -> str:
+    """source as str, with LF line ends and no leading byte-order mark."""
     cr, lf = (b"\r", b"\n") if isinstance(source, bytes) else ("\r", "\n")
     if cr in source:
         source = source.replace(cr + lf, lf).replace(cr, lf)
@@ -117,16 +111,12 @@ def parse(source: Union[str, bytes]) -> OmdlDocument:
             col = exc.start - prefix.rfind(b"\n")
             raise ParseError((line, col), "valid UTF-8",
                              f"byte 0x{source[exc.start]:02x}") from None
-    source = source.removeprefix("\ufeff")
-    doc = OmdlDocument.__new__(OmdlDocument)
-    _set(doc, "model", ClassModel(_read(source)))
-    _set(doc, "_source", source)
-    return doc
+    return source.removeprefix("\ufeff")
 
 
-def _read(source: str, model: Optional[ClassModel] = None):
-    """The class declarations of normalised source; given the model that
-    source parsed to, its spans instead, keyed by the model's names."""
+def _read(source: str, found: Optional[dict] = None) -> list[ClassDecl]:
+    """The class declarations of normalised source.  Given a dict, also
+    write into it the (line, column) of each class, method and attribute."""
     # Compiled on the first parse, and kept in re's cache, not on import:
     # every CLI subcommand imports this module.
     header, member, comma = map(re.compile, (_HEADER, _MEMBER, _COMMA))
@@ -173,10 +163,8 @@ def _read(source: str, model: Optional[ClassModel] = None):
     # from there token by token to the error: the check that comes last
     # cannot pass there, or the pattern would have matched.
     classes: list[ClassDecl] = []
-    spans: dict = {}
     names: set[str] = set()
     pos = 0
-    record, decls = model is not None, iter(model or ())
     while True:
         h = header.match(source, pos)
         if h is None or h[1] in names:
@@ -191,30 +179,24 @@ def _read(source: str, model: Optional[ClassModel] = None):
             fail(m, "'{'")
         cls = h[1]
         if cls is None:
-            return spans if record else classes
+            return classes
         names.add(cls)
+        if found is not None:
+            found[("class", cls)] = where(h.start(1))
         methods, attributes, uses = [], [], []
-        if record:
-            decl = next(decls)
-            cls, methods, attributes = (decl.name, iter(decl.methods),
-                                        iter(decl.attributes))
-            spans[("class", cls)] = where(h.start(1))
         pos = h.end()
         while m := member.match(source, pos):
             pos = m.end()
             word, name, target_cls, target, attribute, used = m.groups()
             if name:
-                if record:
-                    spans[("method", cls, next(methods).name)] = where(m.start(2))
-                else:
-                    methods.append(MethodDecl._parsed(
-                        name, _VISIBILITY[word], target_cls and (target_cls, target)))
+                methods.append(MethodDecl._parsed(
+                    name, _VISIBILITY[word], target_cls and (target_cls, target)))
+                if found is not None:
+                    found[("method", cls, name)] = where(m.start(2))
             elif attribute:
-                if record:
-                    key = ("attribute", cls, next(attributes).name)
-                    spans[key] = where(m.start(5))
-                else:
-                    attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
+                attributes.append(AttributeDecl._parsed(attribute, _VISIBILITY[word]))
+                if found is not None:
+                    found[("attribute", cls, attribute)] = where(m.start(5))
             elif used:
                 uses += comma.split(used)
             else:
@@ -237,10 +219,9 @@ def _read(source: str, model: Optional[ClassModel] = None):
             else:
                 fail(m, "'method', 'attribute', 'uses', or '}'")
             fail(m, "';'")
-        if not record:
-            classes.append(ClassDecl._parsed(
-                cls, () if h[2] is None else tuple(comma.split(h[2])),
-                tuple(methods), tuple(attributes), tuple(uses)))
+        classes.append(ClassDecl._parsed(
+            cls, () if h[2] is None else tuple(comma.split(h[2])),
+            tuple(methods), tuple(attributes), tuple(uses)))
 
 
 def _identifier(name: str) -> str:

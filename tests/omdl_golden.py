@@ -21,7 +21,7 @@ import random
 import re
 from pathlib import Path
 
-from moodkit import ParseError, parse, render
+from moodkit import ParseError, parse, render, spans
 
 from tests.modelgen import make_model
 
@@ -91,7 +91,7 @@ def outcome(source: str):
         doc = parse(source)
     except ParseError as exc:
         return [*exc.position, exc.expected, exc.found]
-    text = repr(doc.model.classes) + repr(doc.spans)
+    text = repr(doc.model.classes) + repr(spans(source))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -1,8 +1,5 @@
-import copy
-import dataclasses
 import gc
 import json
-import pickle
 import random
 import re
 import time
@@ -11,8 +8,8 @@ import tracemalloc
 import pytest
 
 from moodkit import (
-    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, OmdlDocument,
-    ParseError, Visibility, errors, omdl, parse, render, validate,
+    AttributeDecl, ClassDecl, ClassModel, MethodDecl, MethodKind, ParseError,
+    Visibility, errors, omdl, parse, render, spans, validate,
 )
 
 from tests import omdl_golden
@@ -85,18 +82,19 @@ def test_comments_and_whitespace_do_not_matter():
 
 
 def test_spans_recorded():
-    doc = parse("class A {\n    method m;\n    attribute x;\n}")
-    assert doc.spans[("class", "A")] == (1, 7)
-    assert doc.spans[("method", "A", "m")] == (2, 12)
-    assert doc.spans[("attribute", "A", "x")] == (3, 15)
+    found = spans("class A {\n    method m;\n    attribute x;\n}")
+    assert found[("class", "A")] == (1, 7)
+    assert found[("method", "A", "m")] == (2, 12)
+    assert found[("attribute", "A", "x")] == (3, 15)
 
 
 def test_document_hashes_by_model_and_compares_with_spans():
+    # A document is its model: moving a declaration changes its spans, not
+    # the document.
     doc, moved = parse("class A {}"), parse("\nclass A {}")
-    assert doc == parse("class A {}") and hash(doc) == hash(parse("class A {}"))
-    assert doc != moved and doc.model == moved.model
-    assert hash(doc) == hash(moved)
-    assert len({doc, moved}) == 2
+    assert spans("class A {}") != spans("\nclass A {}")
+    assert doc == moved and hash(doc) == hash(moved) and len({doc, moved}) == 1
+    assert doc != parse("class B {}")
 
 
 def test_parse_error_positions():
@@ -151,18 +149,16 @@ def test_cr_only_source_equals_its_lf_twin():
     want = parse(lf)
     for cr in (lf.replace("\n", "\r"), lf.replace("\n", "\r\n")):
         for source in (cr, cr.encode()):
-            doc = parse(source)
-            assert doc.model == want.model and doc.spans == want.spans
+            assert parse(source) == want and spans(source) == spans(lf)
     # bytes are split into lines before they are decoded
     assert error_of(b"class A {\r  method f\xff;\r}\r")[0] == (2, 11)
 
 
 def test_parse_ignores_one_leading_byte_order_mark():
-    want = parse("class A { method m; }")
+    want, found = parse("class A { method m; }"), spans("class A { method m; }")
     for source in ("\ufeffclass A { method m; }",
                    b"\xef\xbb\xbfclass A { method m; }"):
-        doc = parse(source)
-        assert doc.model == want.model and doc.spans == want.spans
+        assert parse(source) == want and spans(source) == found
     assert error_of("\ufeff\ufeffclass A { }") == ((1, 1), "a token", "'\\ufeff'")
 
 
@@ -267,9 +263,9 @@ def error_of(source):
     ("class A {\n\tmethod m;\n\tattribute x; }", (2, 9), (3, 12)),
 ], ids=["comment", "crlf", "lone-cr", "tab"])
 def test_positions_after_comment_line_break_and_tab(source, method, attribute):
-    doc = parse(source)
-    assert doc.spans[("method", "A", "m")] == method
-    assert doc.spans[("attribute", "A", "x")] == attribute
+    found = spans(source)
+    assert found[("method", "A", "m")] == method
+    assert found[("attribute", "A", "x")] == attribute
     assert error_of(source.replace("method m", "method ")) == (
         method, "identifier", "';'")
 
@@ -306,7 +302,7 @@ def test_bad_character_is_reported_before_an_earlier_grammar_error(source):
 
 def _write_laid_out(model, rng, one_line):
     """render(model) with random layout; returns the text and the offset of
-    each declared name, keyed as in OmdlDocument.spans."""
+    each declared name, keyed as in spans()."""
     gaps = [" ", "\t", "  \t "] if one_line else [
         " ", "\t", "\n", "\r\n", "\n\n\t", " // a { comment ; }\n",
         "\r\n// x\r\n  "]
@@ -356,18 +352,16 @@ def test_spans_match_offsets_under_random_layout(one_line):
     for _ in range(150):
         model = make_model(rng)
         text, offsets = _write_laid_out(model, rng, one_line)
-        doc = parse(text)
-        assert doc.model == model
-        assert doc.spans == {
+        assert parse(text).model == model
+        assert spans(text) == {
             key: (text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
             for key, off in offsets.items()}
 
 
 
 def test_spans_read_late_match_offsets_under_every_line_end():
-    # parse finds spans on their first read, by a second scan of the
-    # normalised source: CRLF, lone CR, a byte-order mark and bytes must
-    # give the positions the LF text gives.
+    # CRLF, lone CR, a byte-order mark and bytes must give the positions
+    # the LF text gives.
     rng = random.Random(2424)
     for _ in range(60):
         model = make_model(rng)
@@ -378,51 +372,14 @@ def test_spans_read_late_match_offsets_under_every_line_end():
         cr, crlf = lf.replace("\n", "\r"), lf.replace("\n", "\r\n")
         for source in (text, lf, cr, crlf, "\ufeff" + crlf, text.encode(),
                        ("\ufeff" + cr).encode()):
-            doc = parse(source)
-            assert doc.model == model
-            assert type(doc.spans) is dict and doc.spans == want
+            assert parse(source).model == model
+            assert spans(source) == want
 
 
-SMALL = "class A {\n  method m;\n}\nclass B extends A { attribute x; }\n"
-SMALL_SPANS = {("class", "A"): (1, 7), ("method", "A", "m"): (2, 10),
-               ("class", "B"): (4, 7), ("attribute", "B", "x"): (4, 31)}
-
-
-def test_document_with_unread_spans_behaves_as_one_built_with_them():
-    # Each check starts from a fresh parse, whose spans are not yet read.
-    built = OmdlDocument(parse(SMALL).model, SMALL_SPANS)
-    assert parse(SMALL) == built and built == parse(SMALL)
-    assert parse(SMALL) != OmdlDocument(built.model, {})
-    assert hash(parse(SMALL)) == hash(built) == hash(OmdlDocument(built.model, {}))
-    assert repr(parse(SMALL)) == repr(built)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        again = pickle.loads(pickle.dumps(parse(SMALL), protocol))
-        assert type(again.spans) is dict and again == built, protocol
-    for duplicate in (copy.copy, copy.deepcopy, dataclasses.replace):
-        again = duplicate(parse(SMALL))
-        assert type(again.spans) is dict and again == built, duplicate
-    moved = dataclasses.replace(parse(SMALL), model=ClassModel([ClassDecl("C")]))
-    assert moved.spans == SMALL_SPANS
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        parse(SMALL).spans = {}
-    with pytest.raises(AttributeError, match="'OmdlDocument' object has no "
-                                             "attribute 'span'"):
-        parse(SMALL).span
-
-
-def test_built_document_keeps_the_dict_it_was_given():
-    spans = dict(SMALL_SPANS)
-    doc = OmdlDocument(parse(SMALL).model, spans)
-    assert doc.spans is spans
-    assert OmdlDocument(model=doc.model, spans={}).spans == {}
-
-
-def test_parse_holds_no_spans_until_they_are_read():
-    # A forest of 2,000 classes in trees of 100.  Unread, a document holds
-    # its model and normalised source: under half of what it holds once
-    # its spans are read.  After that read the source is let go: parsed
-    # from bytes, whose decoded text tracemalloc sees, a document holds no
-    # more than one parsed from str.
+def test_parsed_document_holds_only_its_model():
+    # A forest of 2,000 classes in trees of 100.  Parsed from bytes, whose
+    # decoded text tracemalloc sees, a document holds no more than one
+    # parsed from str: it keeps no copy of its source.
     text = "".join(
         f"class C{i}{f' extends C{i - 1 - (i % 100 - 1) // 2}' if i % 100 else ''} {{\n"
         f"    method m{i}; hidden method n{i}; method o{i};\n"
@@ -435,40 +392,34 @@ def test_parse_holds_no_spans_until_they_are_read():
         tracemalloc.start()
         try:
             doc = parse(source)
-            unread = tracemalloc.get_traced_memory()[0]
-            assert len(doc.spans) == 12_000
             gc.collect()
-            return unread, tracemalloc.get_traced_memory()[0]
+            return tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
 
-    unread, read = held(text)
-    assert unread <= 0.7 * read, (unread, read)
-    assert held(text.encode())[1] - read <= len(text) / 10
+    # This parse also compiles the patterns, outside the traced ones.
+    assert vars(parse(text)).keys() == {"model"}
+    assert held(text.encode()) - held(text) <= len(text) / 10
 
 
-def test_span_keys_hold_the_models_own_names():
-    # A late scan that keyed spans by its own matches would hold a second
-    # string for every class and member name.  Names of one character are
-    # shared by CPython anyway, so these are longer.
-    rng = random.Random(2503)
-    sources = [render(make_model(rng, max_classes=8, min_classes=2))
-               for _ in range(20)]
-    sources.append("class Alpha { method run; attribute size; }\n"
-                   "class Beta extends Alpha { hidden method run overrides "
-                   "Alpha.run; attribute count; uses Alpha; }\n")
-    for source in sources:
-        doc = parse(source)
-        names = {}
-        for decl in doc.model:
-            names[("class", decl.name)] = decl.name
-            names.update({("method", decl.name, f.name): f.name for f in decl.methods})
-            names.update({("attribute", decl.name, f.name): f.name
-                          for f in decl.attributes})
-        assert doc.spans.keys() == names.keys()
-        for key in doc.spans:
-            assert key[1] is doc.model.get(key[1]).name, key
-            assert key[-1] is names[key], key
+def test_spans_and_parse_agree_on_the_golden_inputs():
+    # spans raises the ParseError parse raises, and otherwise keys exactly
+    # the model's declarations, in their order.
+    for source in omdl_golden.inputs():
+        try:
+            model = parse(source).model
+        except ParseError as exc:
+            with pytest.raises(ParseError) as again:
+                spans(source)
+            fields = [(e.position, e.expected, e.found) for e in (again.value, exc)]
+            assert fields[0] == fields[1], source
+            continue
+        want = []
+        for decl in model:
+            want.append(("class", decl.name))
+            want += [("method", decl.name, m.name) for m in decl.methods]
+            want += [("attribute", decl.name, a.name) for a in decl.attributes]
+        assert list(spans(source)) == list(dict.fromkeys(want)), source
 
 
 @pytest.mark.parametrize("one_line", [False, True])
@@ -565,11 +516,11 @@ def test_comment_and_crlf_between_every_pair_of_tokens():
         tokens = list(re.finditer(r"\w+|[{};,.]", canon))
         token_at = {m.start(): k for k, m in enumerate(tokens)}
         line_starts = [0] + [m.end() for m in re.finditer("\n", canon)]
-        doc = parse("".join(m[0] + " // , X . y ; } {\r\n" for m in tokens))
-        assert doc.model == model
-        assert list(doc.spans.items()) == [
+        text = "".join(m[0] + " // , X . y ; } {\r\n" for m in tokens)
+        assert parse(text).model == model
+        assert list(spans(text).items()) == [
             (key, (token_at[line_starts[line - 1] + col - 1] + 1, 1))
-            for key, (line, col) in parse(canon).spans.items()]
+            for key, (line, col) in spans(canon).items()]
 
 
 @pytest.mark.parametrize("source", [
@@ -585,10 +536,10 @@ def test_spaced_override_target(source):
 
 @pytest.mark.parametrize("body", ["{}", "{ }", "{\n}", "{ // x\n}", "\n{\r\n}"])
 def test_empty_class_body(body):
-    doc = parse(f"class A {body} class B extends A{body}")
-    assert doc.model == ClassModel([ClassDecl("A"), ClassDecl("B", ("A",))])
-    assert doc.spans == {("class", "A"): (1, 7),
-                         ("class", "B"): doc.spans[("class", "B")]}
+    source = f"class A {body} class B extends A{body}"
+    assert parse(source).model == ClassModel([ClassDecl("A"), ClassDecl("B", ("A",))])
+    found = spans(source)
+    assert found == {("class", "A"): (1, 7), ("class", "B"): found[("class", "B")]}
 
 
 @pytest.mark.parametrize("source", [
@@ -615,9 +566,10 @@ def test_bad_character_after_a_grammar_error_in_each_construct(source):
 
 
 def test_spans_is_a_plain_dict_and_declarations_match_public_ones():
-    doc = parse("class A { hidden method m; attribute x; }\n"
-                "class B extends A { method m overrides A.m; uses A; }")
-    assert type(doc.spans) is dict
+    source = ("class A { hidden method m; attribute x; }\n"
+              "class B extends A { method m overrides A.m; uses A; }")
+    doc = parse(source)
+    assert type(spans(source)) is dict
     built = ClassModel([
         ClassDecl("A", methods=(MethodDecl("m", Visibility.HIDDEN),),
                   attributes=(AttributeDecl("x"),)),
@@ -630,7 +582,7 @@ def test_spans_is_a_plain_dict_and_declarations_match_public_ones():
                                 public.methods + public.attributes):
             assert mine == theirs and hash(mine) == hash(theirs)
     assert doc.model == built and hash(doc.model) == hash(built)
-    assert list(doc.spans) == [("class", "A"), ("method", "A", "m"),
+    assert list(spans(source)) == [("class", "A"), ("method", "A", "m"),
                                ("attribute", "A", "x"), ("class", "B"),
                                ("method", "B", "m")]
 
