@@ -25,7 +25,7 @@ from .errors import (
     DegenerateModelError, DomainError, InsufficientDataError,
     MissingPredictorError, RankDeficientError, _real,
 )
-from .special import _f_ps, _t_ps
+from .special import _f_tail
 
 # A diagonal entry of R at or below this fraction of the largest entry in its
 # column marks the column as linearly dependent on the columns before it.
@@ -164,7 +164,11 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
     # (Golub & Van Loan §5.3).
     cols = np.array([[0] + [index[name] for name in t[1:]] for t in terms])
     df_regression, df_residual, df_total = p - 1, n - p, n - 1
-    coefficients, anovas, summaries = [], [], []
+    # The fits share their degrees of freedom, so each tail's normaliser is
+    # evaluated once.  T² is F(1, df); an intercept-only fit's F tail is 1.
+    t_tail = _f_tail(1, df_residual)
+    f_tail = _f_tail(df_regression, df_residual) if df_regression else None
+    results = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r0 = np.linalg.qr(z, mode="r")
         # Factored, z is free: centred in place, each column squares to its
@@ -218,29 +222,22 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
             # zero estimate, and their tails are 0 (1): the fit is exact.
             ts = beta / se
             ts[np.isnan(ts)] = 0.0
-            coefficients.append(list(zip(names, *raw.tolist(), ts.tolist())))
             r_squared = max(1.0 - ss_residual / ss_total, 0.0)
-            summaries.append(dict(
-                spec=spec, n=n, r_squared=r_squared,
-                adj_r_squared=1.0 - (1.0 - r_squared) * (n - 1) / (n - p),
-                std_error_estimate=math.ldexp(s, y_exp)))
             # An intercept-only fit has df_regression = ss_regression = 0.
             reg, res, tot = raw_ss.tolist()
-            anovas.append(dict(
-                ss_regression=reg, ss_residual=res, ss_total=tot,
-                df_regression=df_regression, df_residual=df_residual,
-                df_total=df_total, ms_regression=reg / max(df_regression, 1),
-                ms_residual=res / df_residual,
-                f_stat=(ss_regression / max(df_regression, 1) / ms_residual
-                        if ms_residual > 0.0 else math.inf)))
-    # The fits share their degrees of freedom: one call, one normaliser.
-    t_ps = iter(_t_ps([c[3] for cs in coefficients for c in cs], df_residual))
-    f_ps = (_f_ps([a["f_stat"] for a in anovas], df_regression, df_residual)
-            if df_regression else [1.0] * len(anovas))
-    return [FitResult(coefficients=tuple(CoefficientEstimate(*c, next(t_ps))
-                                         for c in cs),
-                      anova=AnovaTable(**a, p_value=f_p), **summary)
-            for cs, a, summary, f_p in zip(coefficients, anovas, summaries, f_ps)]
+            f_stat = (ss_regression / max(df_regression, 1) / ms_residual
+                      if ms_residual > 0.0 else math.inf)
+            results.append(FitResult(spec, n, tuple(
+                CoefficientEstimate(name, b, e, t, t_tail(t * t))
+                for name, b, e, t in zip(names, *raw.tolist(), ts.tolist())),
+                r_squared, 1.0 - (1.0 - r_squared) * (n - 1) / (n - p),
+                math.ldexp(s, y_exp), AnovaTable(
+                    ss_regression=reg, ss_residual=res, ss_total=tot,
+                    df_regression=df_regression, df_residual=df_residual,
+                    df_total=df_total, ms_regression=reg / max(df_regression, 1),
+                    ms_residual=res / df_residual, f_stat=f_stat,
+                    p_value=f_tail(f_stat) if f_tail else 1.0)))
+    return results
 
 
 def anova(fit_result: FitResult) -> AnovaTable:

@@ -153,11 +153,16 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r} b={b!r}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
-    return _inc_beta(x, a, b, ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b))
+    return _inc_beta(x, a, b, _ln_norm(a, b))
+
+
+def _ln_norm(a: float, b: float) -> float:
+    """ln B(a, b)⁻¹, the log of the incomplete beta's normaliser."""
+    return ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
 
 
 def _inc_beta(x: float, a: float, b: float, ln_norm: float) -> float:
-    """reg_inc_beta of checked arguments; ln_norm is ln B(a, b)⁻¹."""
+    """reg_inc_beta of checked arguments; ln_norm is _ln_norm(a, b)."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -190,41 +195,29 @@ def _check_df(df, label: str) -> int:
 def t_two_sided_p(t: float, df: int) -> float:
     """P(|T_df| >= |t|) for the Student t distribution.
 
-    Evaluated as I_x(df/2, 1/2) with x = df/(df + t^2), so t=0 gives exactly 1
-    and the result is even in t.
+    T_df² is F(1, df), so this is the F tail at t², I_x(df/2, 1/2) with
+    x = df/(df + t²): t = 0 gives exactly 1 and the result is even in t.
     """
-    return _t_ps((t,), df)[0]
+    df = _check_df(df, "df")
+    t = _real(t, "t statistic")
+    if t != t:
+        raise DomainError("t statistic is NaN")
+    return _f_tail(1, df)(t * t)
 
 
 def f_upper_p(f: float, df1: int, df2: int) -> float:
     """P(F_{df1,df2} >= f); strictly decreasing in f, 1 at f = 0."""
-    return _f_ps((f,), df1, df2)[0]
-
-
-def _t_ps(ts, df: int) -> list[float]:
-    """t_two_sided_p of each t at one df, with one log-beta normaliser."""
-    df = _check_df(df, "df")
-    a = 0.5 * df
-    ln_norm = ln_gamma(a + 0.5) - ln_gamma(a) - ln_gamma(0.5)
-    ps = []
-    for t in ts:
-        t = _real(t, "t statistic")
-        if t != t:
-            raise DomainError("t statistic is NaN")
-        ps.append(_inc_beta(df / (df + t * t), a, 0.5, ln_norm))
-    return ps
-
-
-def _f_ps(fs, df1: int, df2: int) -> list[float]:
-    """f_upper_p of each f at one (df1, df2), with one log-beta normaliser."""
     df1 = _check_df(df1, "df1")
     df2 = _check_df(df2, "df2")
+    f = _real(f, "f statistic")
+    if not f >= 0.0:
+        raise DomainError(f"f statistic must be >= 0, got {f!r}")
+    return _f_tail(df1, df2)(f)
+
+
+def _f_tail(df1: int, df2: int):
+    """f ↦ P(F_{df1,df2} >= f) for checked degrees of freedom and f >= 0,
+    with the log-beta normaliser evaluated once, here."""
     a, b = 0.5 * df2, 0.5 * df1
-    ln_norm = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-    ps = []
-    for f in fs:
-        f = _real(f, "f statistic")
-        if not f >= 0.0:
-            raise DomainError(f"f statistic must be >= 0, got {f!r}")
-        ps.append(_inc_beta(df2 / (df2 + df1 * f), a, b, ln_norm))
-    return ps
+    ln_norm = _ln_norm(a, b)
+    return lambda f: _inc_beta(df2 / (df2 + df1 * f), a, b, ln_norm)
