@@ -304,7 +304,7 @@ def cmd_dataset(args) -> str:
     for row in data.rows:
         cells = []
         for v, w in zip(row, widths):
-            text = str(int(v)) if v == int(v) else f"{v:.6g}"
+            text = str(int(v)) if v == int(v) and abs(v) < 1e16 else f"{v:.6g}"
             cells.append(text.rjust(w))
         lines.append("  ".join(cells))
     lines.append(f"rows: {data.n_rows}   provenance: {data.provenance}")

@@ -12,7 +12,7 @@ import io
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Collection, Iterable, Sequence, TextIO
 
@@ -58,7 +58,8 @@ class Dataset:
     """
 
     columns: tuple[str, ...]
-    _values: tuple[bytes, ...]
+    # Kept out of the repr: 8 bytes per value would print in full.
+    _values: tuple[bytes, ...] = field(repr=False)
     n_rows: int
     provenance: str
 

@@ -402,6 +402,17 @@ def test_dataset_csv_output(capsys):
     assert len(lines) == 34
 
 
+def test_dataset_table_prints_large_integral_values_in_exponent_form(
+        tmp_path, capsys):
+    # As write_csv does: only a value under 1e16 prints as an integer.
+    path = tmp_path / "large.csv"
+    path.write_text("a,b\n1e300,2e20\n3,9999999999999998\n")
+    code, out, _ = run(capsys, "dataset", str(path))
+    assert code == 0
+    assert out.splitlines()[1].split() == ["1e+300", "2e+20"]
+    assert out.splitlines()[2].split() == ["3", "9999999999999998"]
+
+
 def test_dataset_json_output(capsys):
     code, out, _ = run(capsys, "dataset", "builtin:table1",
                        "--format", "json")

@@ -27,6 +27,16 @@ def test_builtin_shape_and_rows():
     assert data.rows[15] == (2129555, 5035, 7292, 2294)
 
 
+def test_repr_names_the_table_not_its_values():
+    assert repr(builtin_table1()) == (
+        "Dataset(columns=('NOL', 'NOC', 'NOM', 'NOA'), n_rows=33, "
+        "provenance='paper-table-1')")
+    lines = ["x,y"] + [f"{i},{i % 7}" for i in range(100_000)]
+    data = read_csv(lines)
+    assert data.n_rows == 100_000
+    assert len(repr(data)) < 200
+
+
 def test_builtin_column_sums_guard():
     # fixed at transcription time; any edit to the table trips this
     data = builtin_table1()

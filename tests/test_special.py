@@ -273,3 +273,63 @@ def test_overflowing_prefactor_is_domain_error():
 def test_argument_without_a_float_value_is_domain_error(call):
     with pytest.raises(DomainError, match="float range"):
         call()
+
+
+def _log_grid(lo, hi, n):
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+def test_t_and_f_tails_match_mpmath_to_1e_12():
+    # x = df2/(df2 + df1·f) is formed in 40 digits from the float statistic,
+    # so the reference sees the same input.  The df 700-1000 scan at small t
+    # is where 1 - x, taken after x is rounded near 1, kept too few digits.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def tail(f, df1, df2):
+        x = mpmath.mpf(df2) / (df2 + df1 * mpmath.mpf(f))
+        return float(mpmath.betainc(mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2,
+                                    0, x, regularized=True))
+
+    dfs = sorted({round(df) for df in _log_grid(1, 1000, 16)})
+    worst = 0.0
+    for df in dfs:
+        for t in _log_grid(0.01, 40.0, 12):
+            worst = max(worst, abs(t_two_sided_p(t, df) - tail(t * t, 1, df)))
+    for df1 in (2, 3, 9, 95, 1000):
+        for df2 in dfs[::2]:
+            for f in _log_grid(0.01, 40.0, 8):
+                worst = max(worst, abs(f_upper_p(f, df1, df2) - tail(f, df1, df2)))
+    for df in range(700, 1001, 7):
+        for t in (0.01, 0.02, 0.05):
+            worst = max(worst, abs(t_two_sided_p(t, df) - tail(t * t, 1, df)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 29, 1000, 10**5])
+def test_t_tail_is_the_f_tail_at_t_squared(df):
+    for t in (0.0, -0.0, 1e-8, 0.5, 3.0, 1e200, math.inf, -math.inf):
+        assert t_two_sided_p(t, df) == f_upper_p(t * t, 1, df)
+
+
+def test_small_t_at_large_df_is_not_rounded_to_one():
+    # x = df/(df + t²) rounds to 1 here, but 1 - x = 6.25e-17 does not:
+    # the tail is 1 - 2e-6, not 1.
+    assert t_two_sided_p(2.5e-6, 10**5) == pytest.approx(0.999998005, abs=1e-9)
+
+
+def test_huge_df1_with_small_x_takes_log1p_of_x():
+    # x = 17/(17 + 1e20·0.0094) is 1.8e-17, so 1 - x rounds to 1: the
+    # prefactor's b·ln(1 - x), with b = 5e19, must come from log1p(-x).
+    # The tail, P(χ²₁₇ ≤ 1808), is 1 to double precision.
+    assert f_upper_p(0.0094, 10**20, 17) == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: t_two_sided_p(math.nan, 0), "df must be >= 1"),
+    (lambda: f_upper_p(1.0, -1, "3"), "df1 must be >= 1"),
+    (lambda: f_upper_p(math.nan, 2, 0), "df2 must be >= 1"),
+], ids=["t-nan-df-0", "f-df1-and-df2", "f-nan-df2-0"])
+def test_a_bad_df_is_reported_before_a_bad_statistic(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
