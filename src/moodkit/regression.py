@@ -227,16 +227,19 @@ def _fit_many(data: Dataset, specs: Sequence[ModelSpec]) -> list[FitResult]:
             reg, res, tot = raw_ss.tolist()
             f_stat = (ss_regression / max(df_regression, 1) / ms_residual
                       if ms_residual > 0.0 else math.inf)
-            results.append(FitResult(spec, n, tuple(
+            coefficients = tuple(
                 CoefficientEstimate(name, b, e, t, t_tail(t * t))
-                for name, b, e, t in zip(names, *raw.tolist(), ts.tolist())),
-                r_squared, 1.0 - (1.0 - r_squared) * (n - 1) / (n - p),
-                math.ldexp(s, y_exp), AnovaTable(
-                    ss_regression=reg, ss_residual=res, ss_total=tot,
-                    df_regression=df_regression, df_residual=df_residual,
-                    df_total=df_total, ms_regression=reg / max(df_regression, 1),
-                    ms_residual=res / df_residual, f_stat=f_stat,
-                    p_value=f_tail(f_stat) if f_tail else 1.0)))
+                for name, b, e, t in zip(names, *raw.tolist(), ts.tolist()))
+            table = AnovaTable(
+                ss_regression=reg, ss_residual=res, ss_total=tot,
+                df_regression=df_regression, df_residual=df_residual,
+                df_total=df_total, ms_regression=reg / max(df_regression, 1),
+                ms_residual=res / df_residual, f_stat=f_stat,
+                p_value=f_tail(f_stat) if f_tail else 1.0)
+            results.append(FitResult(
+                spec=spec, n=n, coefficients=coefficients, r_squared=r_squared,
+                adj_r_squared=1.0 - (1.0 - r_squared) * (n - 1) / (n - p),
+                std_error_estimate=math.ldexp(s, y_exp), anova=table))
     return results
 
 

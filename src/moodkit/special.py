@@ -147,7 +147,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     about 500 the tails are accurate to about 3e-13 absolute for t (df up
     to 1000) and 6e-13 for F (1000 degrees of freedom each), measured
     against mpmath.  Beyond that the error grows with them: the t tail is
-    off by up to 7e-12 at df = 1e4 and 4e-10 at 1e6, and
+    off by about 8e-12 at df = 1e4 and 5e-10 at 1e6, and
     f_upper_p(1.0, 10**9, 10**9) returns 0.0, not 0.5 (ROADMAP item 1 is
     the fix).
     """
