@@ -7,16 +7,18 @@ problems as diagnostics; :func:`tallies` derives the feature counts used by
 the metric formulas; :func:`descendants` counts the proper subtree below a
 class.
 
-Every inheritance query reads one index, built on first use and kept on the
-model.  One iterative Tarjan pass over the parent graph finds its cycles and
-a topological order.  A walk down that order decides the distinct (origin,
-name) features each class inherits, shadowing, override targets and cf's
-clients; a walk back up counts descendants.  Each walk holds a class's sets
-and maps only until their last reader is done, so a star takes memory
-linear in its size in either declaration order, and no depth of hierarchy
-needs recursion.  Queries that need the index raise
-:class:`~moodkit.errors.InvalidModelError`, carrying the model's
-diagnostics, when a parent name is unresolved or the parent graph is cyclic.
+Every inheritance query, and :func:`validate`, reads one index, built on
+first use and kept on the model.  Its first pass over the classes collects
+the structural diagnostics and the parent edges; one iterative Tarjan pass
+over the parent graph then finds its cycles and a topological order.  A
+walk down that order decides the distinct (origin, name) features each class
+inherits, shadowing, override targets and cf's clients; a walk back up
+counts descendants.  Each walk holds a class's sets and maps only until
+their last reader is done, so a star takes memory linear in its size in
+either declaration order, and no depth of hierarchy needs recursion.
+Queries that need the index raise :class:`~moodkit.errors.InvalidModelError`,
+carrying the model's diagnostics, when a parent name is unresolved or the
+parent graph is cyclic.
 """
 
 from __future__ import annotations
@@ -260,13 +262,40 @@ def validate(model: ClassModel) -> list[Diagnostic]:
     always reported.  Shadowing and override-target checks run only on a
     resolved, acyclic parent graph whose override targets all exist.
     """
-    diags: list[Diagnostic] = []
     if len(model) == 0:
         return [Diagnostic(EMPTY_MODEL, "model declares no classes")]
+    return list(model._index.diagnostics)
 
-    position = model._position
-    unknown_target = False
-    for decl in model:
+
+class _InheritanceIndex(NamedTuple):
+    """Inheritance facts of one model: the diagnostics :func:`validate`
+    reports for it, ``broken`` (a cycle, a self-parent or an unresolved
+    parent) and, unless it holds, per-class counts in declaration position
+    and cf's numerator."""
+
+    diagnostics: list[Diagnostic]
+    broken: bool
+    descendants: list[int]
+    inherited: tuple[list[int], list[int]]
+    clients: int
+
+
+def _valid_index(model: ClassModel) -> _InheritanceIndex:
+    """The index of a model whose parent graph is resolved and acyclic."""
+    index = model._index
+    if index.broken:
+        raise InvalidModelError(index.diagnostics)
+    return index
+
+
+def _build_index(model: ClassModel) -> _InheritanceIndex:
+    decls, position = model.classes, model._position
+    parents: list[list[int]] = [[] for _ in decls]
+    n_children = [0] * len(decls)
+    asked: dict[int, set[str]] = {}
+    diags: list[Diagnostic] = []
+    broken = unknown_target = False
+    for i, decl in enumerate(decls):
         for kind, code, features in (
                 ("method", DUPLICATE_METHOD, decl.methods),
                 ("attribute", DUPLICATE_ATTRIBUTE, decl.attributes)):
@@ -278,7 +307,6 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                         f"{kind} {f.name!r} declared more than once in "
                         f"{decl.name!r}", decl.name))
                 seen.add(f.name)
-
         for names, where in ((decl.parents, "as a parent"), (decl.uses, "in uses")):
             if decl.name in names:
                 diags.append(Diagnostic(
@@ -290,58 +318,17 @@ def validate(model: ClassModel) -> list[Diagnostic]:
                         UNRESOLVED_NAME,
                         f"{decl.name!r} {verb} unknown class {name!r}", decl.name))
         for m in decl.methods:
-            if m.override_target is not None and m.override_target[0] not in position:
+            if m.override_target is None:
+                continue
+            j = position.get(m.override_target[0])
+            if j is None:
                 diags.append(Diagnostic(
                     UNRESOLVED_NAME,
                     f"{decl.name!r}.{m.name} overrides method of unknown class "
                     f"{m.override_target[0]!r}", decl.name))
                 unknown_target = True
-
-    # A self-parent breaks the index but is no edge of the parent
-    # graph, so it gets SELF_REFERENCE alone: CYCLE is for two or more.
-    index = model._index
-    for members in index.cycles:
-        diags.append(Diagnostic(
-            CYCLE,
-            "inheritance cycle: " + " -> ".join(members + (members[0],)),
-            members[0]))
-    if not unknown_target:
-        diags.extend(index.findings)
-    return diags
-
-
-class _InheritanceIndex(NamedTuple):
-    """Inheritance facts of one model: ``cycles`` (of two or more classes,
-    as sorted names), ``broken`` (a cycle, a self-parent or an unresolved
-    parent) and, unless it holds, per-class counts in declaration position,
-    cf's numerator and the semantic diagnostics in that order."""
-
-    cycles: list[tuple[str, ...]]
-    broken: bool
-    descendants: list[int]
-    inherited: tuple[list[int], list[int]]
-    clients: int
-    findings: list[Diagnostic]
-
-
-def _valid_index(model: ClassModel) -> _InheritanceIndex:
-    """The index of a model whose parent graph is resolved and acyclic."""
-    index = model._index
-    if index.broken:
-        raise InvalidModelError(validate(model))
-    return index
-
-
-def _build_index(model: ClassModel) -> _InheritanceIndex:
-    decls, position = model.classes, model._position
-    parents: list[list[int]] = [[] for _ in decls]
-    n_children = [0] * len(decls)
-    asked: dict[int, set[str]] = {}
-    broken = False
-    for i, decl in enumerate(decls):
-        for m in decl.methods:
-            if m.override_target and m.override_target[0] in position:
-                asked.setdefault(position[m.override_target[0]], set()).add(m.name)
+            else:
+                asked.setdefault(j, set()).add(m.name)
         for name in dict.fromkeys(decl.parents):
             j = position.get(name)
             if j is None or j == i:
@@ -393,10 +380,20 @@ def _build_index(model: ClassModel) -> _InheritanceIndex:
                     for j in component:
                         low[j] = done
                     cycles.append(tuple(sorted(decls[j].name for j in component)))
+    # A self-parent breaks the index but is no edge of the parent
+    # graph, so it gets SELF_REFERENCE alone: CYCLE is for two or more.
+    for members in sorted(cycles):
+        diags.append(Diagnostic(
+            CYCLE,
+            "inheritance cycle: " + " -> ".join(members + (members[0],)),
+            members[0]))
     if broken or cycles:
-        return _InheritanceIndex(sorted(cycles), True, [], ([], []), 0, [])
-    return _InheritanceIndex([], False, _count_descendants(order, parents),
-                             *_walk(model, order, parents, n_children, asked))
+        return _InheritanceIndex(diags, True, [], ([], []), 0)
+    inherited, clients, findings = _walk(model, order, parents, n_children, asked)
+    if not unknown_target:
+        diags += findings
+    return _InheritanceIndex(diags, False, _count_descendants(order, parents),
+                             inherited, clients)
 
 
 def _merge(available: dict[str, frozenset[int]],
@@ -463,7 +460,7 @@ def _walk(model: ClassModel, order: list[int], parents: list[list[int]],
                         "method; declare it with 'overrides' or rename it",
                         decl.name)))
                 continue
-            # An unknown target class is no ancestor; validate drops these.
+            # An unknown target class is no ancestor; the index drops these.
             target_cls, target_meth = m.override_target
             target = position.get(target_cls)
             if target_meth != m.name:

@@ -290,7 +290,7 @@ def cmd_predict(args) -> str:
 
 
 def cmd_dataset(args) -> str:
-    from .dataset import write_csv
+    from .dataset import _render_value, write_csv
     data = _load_source(args.source)
     if args.format == "json":
         return _json({"columns": data.columns, "provenance": data.provenance,
@@ -302,11 +302,8 @@ def cmd_dataset(args) -> str:
     widths = [max(len(c), 12) for c in data.columns]
     lines = ["  ".join(c.rjust(w) for c, w in zip(data.columns, widths))]
     for row in data.rows:
-        cells = []
-        for v, w in zip(row, widths):
-            text = str(int(v)) if v == int(v) and abs(v) < 1e16 else f"{v:.6g}"
-            cells.append(text.rjust(w))
-        lines.append("  ".join(cells))
+        lines.append("  ".join(_render_value(v, "{:.6g}".format).rjust(w)
+                               for v, w in zip(row, widths)))
     lines.append(f"rows: {data.n_rows}   provenance: {data.provenance}")
     return "\n".join(lines) + "\n"
 

@@ -278,10 +278,12 @@ def _raise_first_fault(records: list[list[str]], lines: list[int],
                 raise NonNumericError(line, name, text)
 
 
-def _render_value(v: float) -> str:
+def _render_value(v: float, other=repr) -> str:
+    """v without a decimal point if it is integral and below 1e16 in
+    magnitude, where every integer is a double; else other(v)."""
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
-    return repr(v)
+    return other(v)
 
 
 def csv_lines(rows: Iterable[Iterable]) -> str:

@@ -1,11 +1,12 @@
 """Tail probabilities for the t and F distributions, plus their kernels.
 
-ln_gamma is the stdlib's math.lgamma except on [0.5, 2.5), where a
-zeta-series expansion of ln Gamma(1+z) keeps full relative accuracy next to
-the zeros at x = 1 and x = 2 (math.lgamma loses about 1e-8 relative there to
-cancellation).  It is finite for x up to about 2.5e305 and inf above.  The
-incomplete beta uses the standard continued fraction evaluated by the
-modified Lentz method, switched across x = (a+1)/(a+b+2) for convergence.
+ln_gamma is the stdlib's math.lgamma except on [0.5, 2.5), where
+Algorithm 708's gamln1, a rational approximation to ln Gamma(1+a), keeps
+full relative accuracy next to the zeros at x = 1 and x = 2 (math.lgamma
+loses about 1e-8 relative there to cancellation).  It is finite for x up
+to about 2.5e305 and inf above.  The incomplete beta uses the standard
+continued fraction evaluated by the modified Lentz method, switched across
+x = (a+1)/(a+b+2) for convergence.
 Both tails go through one kernel, _f_tail: T_df² is F(1, df), so the t tail
 is the F tail at t².  The kernel evaluates the log-beta normaliser once per
 (df1, df2) and forms x and 1 - x each as a ratio of the statistic, and the
@@ -18,67 +19,34 @@ import math
 
 from .errors import DomainError, _real
 
-EULER_GAMMA = 0.57721566490153286061
-
-# zeta(k) - 1 for k = 2 .. 41; the series for ln Gamma(1+z) needs ~40 terms
-# to reach double precision at |z| = 0.5.
-_ZETA_M1 = (
-    0.64493406684822643647,
-    0.2020569031595942854,
-    0.082323233711138191516,
-    0.036927755143369926331,
-    0.017343061984449139715,
-    0.0083492773819228268398,
-    0.0040773561979443393787,
-    0.0020083928260822144179,
-    0.00099457512781808533715,
-    0.0004941886041194645587,
-    0.00024608655330804829864,
-    0.00012271334757848914675,
-    0.000061248135058704829259,
-    0.000030588236307020493552,
-    0.000015282259408651871733,
-    7.6371976378997622736e-6,
-    3.8172932649998398565e-6,
-    1.9082127165539389257e-6,
-    9.5396203387279611315e-7,
-    4.7693298678780646312e-7,
-    2.3845050272773299e-7,
-    1.1921992596531107307e-7,
-    5.9608189051259479612e-8,
-    2.9803503514652280186e-8,
-    1.4901554828365041235e-8,
-    7.450711789835429492e-9,
-    3.7253340247884570548e-9,
-    1.8626597235130490064e-9,
-    9.3132743241966818287e-10,
-    4.656629065033784073e-10,
-    2.328311833676505492e-10,
-    1.1641550172700519776e-10,
-    5.8207720879027008893e-11,
-    2.9103850444970996869e-11,
-    1.4551921891041984236e-11,
-    7.2759598350574810145e-12,
-    3.6379795473786511902e-12,
-    1.8189896503070659477e-12,
-    9.0949478402638892829e-13,
-    4.547473783042154027e-13,
-)
+# Algorithm 708's gamln1 (DiDonato & Morris, ACM TOMS 18(3), 1992): the
+# numerator and denominator coefficients of ln Gamma(1+a) = -a P(a)/Q(a)
+# for a < 0.6 and of x R(x)/S(x), x = a - 1, above; constant terms first.
+_P = (.577215664901533, .844203922187225, -.168860593646662,
+      -.780427615533591, -.402055799310489, -.673562214325671e-1,
+      -.271935708322958e-2)
+_Q = (1.0, .288743195473681e1, .312755088914843e1, .156875193295039e1,
+      .361951990101499, .325038868253937e-1, .667465618796164e-3)
+_R = (.422784335098467, .848044614534529, .565221050691933,
+      .156513060486551, .170502484022650e-1, .497958207639485e-3)
+_S = (1.0, .124313399877507e1, .548042109832463, .101552187439830,
+      .713309612391000e-2, .116165475989616e-3)
 
 
-def _lgamma_1p(z: float) -> float:
-    """ln Gamma(1+z) for |z| <= 0.5 via the zeta series; exact at z = 0."""
-    total = 0.0
-    zk = z * z
-    sign = 1.0
-    for i, c in enumerate(_ZETA_M1):
-        term = sign * c * zk / (i + 2)
-        total += term
-        if abs(term) < 1e-20 * abs(total):
-            break
-        zk *= z
-        sign = -sign
-    return z * (1.0 - EULER_GAMMA) - math.log1p(z) + total
+def _poly(c: tuple, x: float) -> float:
+    """The polynomial with coefficients c, constant term first, at x."""
+    v = 0.0
+    for k in reversed(c):
+        v = v * x + k
+    return v
+
+
+def _gamln1(a: float) -> float:
+    """ln Gamma(1+a) for -0.2 <= a <= 1.25; +0.0, not -0.0, at a = 0 and 1."""
+    if a < 0.6:
+        return 0.0 - a * _poly(_P, a) / _poly(_Q, a)
+    x = a - 1.0
+    return x * _poly(_R, x) / _poly(_S, x)
 
 
 def ln_gamma(x: float) -> float:
@@ -91,11 +59,13 @@ def ln_gamma(x: float) -> float:
     x = _real(x, "x")
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    if 0.5 <= x < 1.5:
-        return _lgamma_1p(x - 1.0)
-    if 1.5 <= x < 2.5:
+    if 0.8 <= x <= 2.25:
+        return _gamln1(x - 1.0)
+    if 0.5 <= x < 0.8:
+        return _gamln1(x) - math.log(x)
+    if 2.25 < x < 2.5:
         # ln Gamma(x) = ln Gamma(x-1) + ln(x-1)
-        return _lgamma_1p(x - 2.0) + math.log1p(x - 2.0)
+        return _gamln1(x - 2.0) + math.log1p(x - 2.0)
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -181,13 +151,13 @@ def _inc_beta(x: float, y: float, a: float, b: float, ln_norm: float) -> float:
     else:
         ln_x, ln_y = math.log1p(-y), math.log(y)
     ln_front = ln_norm + a * ln_x + b * ln_y
-    try:
-        front = math.exp(ln_front)
-    except OverflowError:
-        # The true prefactor is far below the largest double, so the
-        # log-gamma differences in ln_front have cancelled.
+    # exp overflows above 709.78.  The true prefactor is far below the
+    # largest double, so there the log-gamma differences in ln_front have
+    # cancelled; a NaN is an infinite ln_gamma less another.
+    if not ln_front < 709.78:
         raise DomainError(f"reg_inc_beta({x!r}, {a!r}, {b!r}) lost its "
-                          "precision: the log prefactor overflows") from None
+                          "precision: the log prefactor overflows")
+    front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         v = front * _beta_cf(x, a, b) / a
     else:

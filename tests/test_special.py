@@ -65,6 +65,27 @@ def test_ln_gamma_dense_relative_accuracy_sweep():
     assert worst < 1e-12
 
 
+def test_ln_gamma_holds_5e_15_on_the_gamln1_interval():
+    # [0.5, 2.5) is where ln_gamma is its own code; 5e-15 relative is its
+    # documented bound, here on a dense grid and next to both zeros
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    grid = [0.5 + 2.0 * i / 2000 for i in range(2000)]
+    grid += [c + s * 10.0 ** -k for c in (1.0, 2.0) for s in (1, -1)
+             for k in range(1, 16)]
+    for x in grid:
+        want, got = mpmath.loggamma(mpmath.mpf(x)), ln_gamma(x)
+        if want == 0:
+            assert got == 0.0
+        else:
+            assert float(abs(got - want) / abs(want)) <= 5e-15, x
+
+
+def test_ln_gamma_is_positive_zero_at_its_zeros():
+    for x in (1.0, 2.0):
+        assert math.copysign(1.0, ln_gamma(x)) == 1.0
+
+
 def test_ln_gamma_away_from_the_zeros_and_at_overflow():
     # below 0.5 and from 1e6 up, ln_gamma is math.lgamma, which no other
     # test reaches; above about 2.5e305 ln Gamma(x) leaves the float range
@@ -262,6 +283,19 @@ def test_overflowing_prefactor_is_domain_error():
     # and its exp overflows; that is a lost precision, not an OverflowError.
     with pytest.raises(DomainError, match="precision"):
         f_upper_p(1.904e46, 9 * 10**22, 10**7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t_two_sided_p(1.0, 10**306),
+    lambda: f_upper_p(1.0, 10**306, 3),
+    lambda: reg_inc_beta(0.5, 1.0, math.inf),
+    lambda: reg_inc_beta(0.5, 1e308, 1e308),
+], ids=["t", "f", "reg-inc-beta-inf", "reg-inc-beta-huge"])
+def test_a_nan_normaliser_is_domain_error(call):
+    # Above about 2.5e305 ln_gamma is inf, and the normaliser inf - inf is
+    # NaN, which clamped into [0, 1] would read as a tail of 0.0.
+    with pytest.raises(DomainError, match="precision"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
